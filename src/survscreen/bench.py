@@ -15,7 +15,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import csv
-import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,41 +23,23 @@ import numpy as np
 
 from .cars import cars_score
 from .cox import cox_scores
-from .data import fmt_float
-from .errors import SurvScreenError, UnknownField
+from .data import fmt_float, parse_cell
+from .errors import MissingColumn, SurvScreenError, UnknownField
+from .ipcw import check_nu
 from .metrics import pr_auc, rank_correlation
-from .simulate import (
+from .simulate import (  # parse_grid is re-exported: grid files are read through this module
+    SCENARIO_FIELDS,
     ScenarioConfig,
     build_block_design,
     generate_dataset,
     nearest_correlation,
+    parse_grid,
+    parse_value,
     replicate_rng,
 )
 
-SCENARIO_FIELDS = (
-    "n",
-    "d",
-    "influential_fraction",
-    "influential_block",
-    "explained_variance",
-    "censoring_rate",
-    "cutoff_quantile",
-    "block_magnitudes",
-)
-
-_FIELD_PARSERS = {
-    "n": int,
-    "d": int,
-    "influential_fraction": float,
-    "influential_block": int,
-    "explained_variance": float,
-    "censoring_rate": float,
-    "cutoff_quantile": float,
-    "block_magnitudes": lambda s: tuple(float(p) for p in s.split(":")),
-    "seed": int,
-}
-
-_DEFAULTS = {"cutoff_quantile": 0.9, "block_magnitudes": (0.25, 0.5, 0.75)}
+METRICS = ("pr_auc", "rank_correlation")
+REPORT_HEADER = ["scenario", "replicate", "method", "pr_auc", "rank_correlation", "error"]
 
 
 @dataclass
@@ -77,34 +58,6 @@ class BenchReport:
     rows: list[BenchRow]
     scenarios: dict[str, dict]
 
-    def aggregates(self) -> list[dict]:
-        """Medians and quartiles per (scenario, method, metric)."""
-        out = []
-        keys = sorted({(r.scenario, r.method) for r in self.rows})
-        for scenario, method in keys:
-            ok = [
-                r for r in self.rows
-                if r.scenario == scenario and r.method == method and not r.error
-            ]
-            for metric in ("pr_auc", "rank_correlation"):
-                values = np.array([getattr(r, metric) for r in ok], dtype=float)
-                if values.size:
-                    q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-                else:
-                    q1 = med = q3 = np.nan
-                out.append(
-                    {
-                        "scenario": scenario,
-                        "method": method,
-                        "metric": metric,
-                        "q1": float(q1),
-                        "median": float(med),
-                        "q3": float(q3),
-                        "count": values.size,
-                    }
-                )
-        return out
-
 
 def _format_value(key: str, value) -> str:
     if key == "block_magnitudes":
@@ -116,36 +69,6 @@ def _format_value(key: str, value) -> str:
 
 def scenario_key(params: dict) -> str:
     return ";".join(f"{k}={_format_value(k, params[k])}" for k in SCENARIO_FIELDS)
-
-
-def parse_grid(lines) -> tuple[list[dict], int]:
-    """Parse a grid config into (scenario parameter dicts, master seed)."""
-    swept: dict[str, list] = {}
-    seed = 0
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "seed":
-            seed = int(value)
-            continue
-        if key not in _FIELD_PARSERS:
-            raise UnknownField(f"unknown grid key {key!r}")
-        parser = _FIELD_PARSERS[key]
-        swept[key] = [parser(tok.strip()) for tok in value.split(",")]
-    for key, default in _DEFAULTS.items():
-        swept.setdefault(key, [default])
-    missing = [k for k in SCENARIO_FIELDS if k not in swept]
-    if missing:
-        raise UnknownField(f"grid config missing keys: {', '.join(missing)}")
-    scenarios = [
-        dict(zip(SCENARIO_FIELDS, combo))
-        for combo in itertools.product(*(swept[k] for k in SCENARIO_FIELDS))
-    ]
-    return scenarios, seed
 
 
 def _replicate_job(args) -> list[BenchRow]:
@@ -188,10 +111,16 @@ def run_bench(
     parallelism: int = 1,
     nu: float = 1e-6,
 ) -> BenchReport:
-    """Run the full scenario grid; per-replicate failures become error rows."""
+    """Run the full scenario grid; per-replicate failures become error rows.
+
+    ``nu`` and every grid point are checked before any job is issued, so a
+    bad parameter raises instead of turning every row into an error row.
+    """
+    check_nu(nu)
     jobs = []
     scenario_map = {}
     for idx, params in enumerate(scenarios):
+        ScenarioConfig(**params, seed=seed)
         design = build_block_design(params["d"], params["block_magnitudes"])
         corr = nearest_correlation(design).matrix
         scenario_map[scenario_key(params)] = dict(params)
@@ -212,7 +141,7 @@ def run_bench(
 def write_report(report: BenchReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scenario", "replicate", "method", "pr_auc", "rank_correlation", "error"])
+        writer.writerow(REPORT_HEADER)
         for r in report.rows:
             writer.writerow(
                 [
@@ -226,22 +155,34 @@ def write_report(report: BenchReport, path) -> None:
             )
 
 
+def _quartiles(rows: list[BenchRow], key) -> list[tuple]:
+    """Quartiles of each metric per (key(row), method), sorted by that pair.
+
+    Returns (key, method, metric, q1, median, q3, count) tuples.  Errored
+    rows enter no quartile; a group whose rows all errored is kept with
+    count 0 and nan quartiles.
+    """
+    groups: dict[tuple, list[BenchRow]] = {}
+    for r in rows:
+        ok = groups.setdefault((key(r), r.method), [])
+        if not r.error:
+            ok.append(r)
+    out = []
+    for group, method in sorted(groups):
+        for metric in METRICS:
+            values = np.array([getattr(r, metric) for r in groups[group, method]], dtype=float)
+            q = np.quantile(values, [0.25, 0.5, 0.75]) if values.size else [np.nan] * 3
+            out.append((group, method, metric, *(float(v) for v in q), values.size))
+    return out
+
+
 def write_summary(report: BenchReport, path) -> None:
+    """Quartiles per (scenario, method, metric)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "method", "metric", "q1", "median", "q3", "count"])
-        for agg in report.aggregates():
-            writer.writerow(
-                [
-                    agg["scenario"],
-                    agg["method"],
-                    agg["metric"],
-                    fmt_float(agg["q1"]),
-                    fmt_float(agg["median"]),
-                    fmt_float(agg["q3"]),
-                    agg["count"],
-                ]
-            )
+        for scenario, method, metric, *q, count in _quartiles(report.rows, lambda r: r.scenario):
+            writer.writerow([scenario, method, metric, *(fmt_float(v) for v in q), count])
 
 
 def write_timings(report: BenchReport, path) -> None:
@@ -258,21 +199,23 @@ def read_report(path) -> BenchReport:
     scenarios: dict[str, dict] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for rec in reader:
-            key = rec["scenario"]
+        if reader.fieldnames is None or not set(REPORT_HEADER) <= set(reader.fieldnames):
+            raise MissingColumn(f"{path}: expected the columns {','.join(REPORT_HEADER)}")
+        for i, rec in enumerate(reader, start=1):
+            key = rec["scenario"] or ""
             if key not in scenarios:
-                params = {}
-                for part in key.split(";"):
-                    k, v = part.split("=", 1)
-                    params[k] = _FIELD_PARSERS[k](v)
+                params = {
+                    k: parse_value(k, v) for k, _, v in (p.partition("=") for p in key.split(";"))
+                }
+                if list(params) != list(SCENARIO_FIELDS):
+                    raise UnknownField(f"row {i}: scenario key does not list {','.join(SCENARIO_FIELDS)}")
                 scenarios[key] = params
             rows.append(
                 BenchRow(
                     key,
-                    int(rec["replicate"]),
+                    parse_cell(rec["replicate"], i, "replicate", int),
                     rec["method"],
-                    float(rec["pr_auc"]) if rec["pr_auc"] else None,
-                    float(rec["rank_correlation"]) if rec["rank_correlation"] else None,
+                    *(parse_cell(rec[m], i, m) if rec[m] else None for m in METRICS),
                     rec["error"],
                     0.0,
                 )
@@ -286,31 +229,15 @@ def emit_plotdata(report: BenchReport, group_by: list[str]) -> list[dict]:
         if field not in SCENARIO_FIELDS:
             raise UnknownField(f"unknown group-by field {field!r}")
 
-    groups: dict[tuple, dict[str, list[float]]] = {}
-    for r in report.rows:
-        if r.error:
-            continue
+    def key(r: BenchRow) -> tuple:
         params = report.scenarios[r.scenario]
-        gkey = tuple(_format_value(f, params[f]) for f in group_by) + (r.method,)
-        bucket = groups.setdefault(gkey, {"pr_auc": [], "rank_correlation": []})
-        bucket["pr_auc"].append(r.pr_auc)
-        bucket["rank_correlation"].append(r.rank_correlation)
+        return tuple(_format_value(f, params[f]) for f in group_by)
 
     out = []
-    for gkey in sorted(groups):
-        for metric in ("pr_auc", "rank_correlation"):
-            values = np.array(groups[gkey][metric], dtype=float)
-            q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-            row = dict(zip(group_by, gkey[:-1]))
-            row.update(
-                method=gkey[-1],
-                metric=metric,
-                q1=float(q1),
-                median=float(med),
-                q3=float(q3),
-                count=values.size,
-            )
-            out.append(row)
+    for group, method, metric, q1, median, q3, count in _quartiles(report.rows, key):
+        row = dict(zip(group_by, group))
+        row.update(method=method, metric=metric, q1=q1, median=median, q3=q3, count=count)
+        out.append(row)
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SurvivalSample, covariate_summary
-from .errors import DegenerateOutcome
+from .errors import BadValue, DegenerateOutcome
 from .ipcw import (
     IpcWeightSet,
     censoring_km,
@@ -94,7 +94,7 @@ def cars_score(
     if np.unique(sample.log_times[is_event]).size < 2:
         raise DegenerateOutcome("all observed events share a single time")
     if lambda_override is not None and not 0.0 <= lambda_override <= 1.0:
-        raise ValueError("lambda_override must be in [0, 1]")
+        raise BadValue("lambda_override must be in [0, 1]")
 
     ws = scoring_weights(sample, nu)
     summary = covariate_summary(sample, ws.weights)

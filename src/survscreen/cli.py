@@ -18,8 +18,8 @@ import numpy as np
 from . import bench as bench_mod
 from .cars import DEFAULT_NU, ScoreVector, cars_score, rank_by_magnitude
 from .cox import cox_scores
-from .data import fmt_float, load_sample, save_sample
-from .errors import NumericalError, SurvScreenError, ValidationError
+from .data import fmt_float, load_sample, parse_cell, save_sample
+from .errors import NumericalError, SurvScreenError, TooFewScores, ValidationError
 from .fdr import null_model_curve, select as fdr_select
 from .metrics import pr_auc, rank_correlation, selection_confusion
 from .simulate import generate_dataset, load_scenario_config
@@ -43,9 +43,9 @@ def _read_scores(path) -> tuple[list[str], np.ndarray]:
         if reader.fieldnames is None or "name" not in reader.fieldnames \
                 or "score" not in reader.fieldnames:
             raise ValidationError(f"{path}: expected a CSV with name,score columns")
-        for rec in reader:
+        for i, rec in enumerate(reader, start=1):
             names.append(rec["name"])
-            values.append(float(rec["score"]))
+            values.append(parse_cell(rec["score"], i, "score"))
     return names, np.asarray(values)
 
 
@@ -56,10 +56,10 @@ def _read_truth(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         required = {"name", "beta", "influential"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ValidationError(f"{path}: expected name,beta,influential columns")
-        for rec in reader:
+        for i, rec in enumerate(reader, start=1):
             names.append(rec["name"])
-            beta.append(float(rec["beta"]))
-            influential.append(int(rec["influential"]))
+            beta.append(parse_cell(rec["beta"], i, "beta"))
+            influential.append(parse_cell(rec["influential"], i, "influential", int))
     return names, np.asarray(beta), np.asarray(influential, dtype=int)
 
 
@@ -140,6 +140,8 @@ def _cmd_evaluate(args) -> None:
     truth_names, beta, influential = _read_truth(args.truth)
     if names != truth_names:
         raise ValidationError("scores and truth files disagree on covariate names")
+    if len(names) < 2:
+        raise TooFewScores(f"need at least 2 scores, got {len(names)}")
     curve = pr_auc(np.abs(values), influential)
     rho = rank_correlation(beta, values)
     rows = [("pr_auc", curve.auc), ("rank_correlation", rho)]
@@ -148,7 +150,10 @@ def _cmd_evaluate(args) -> None:
         reader = csv.DictReader(fh)
         has_selection = "selected" in (reader.fieldnames or [])
         if has_selection:
-            selected = [i for i, rec in enumerate(reader) if int(rec["selected"])]
+            selected = [
+                i for i, rec in enumerate(reader)
+                if parse_cell(rec["selected"], i + 1, "selected", int)
+            ]
     if has_selection:
         tp, fp, fn, tn = selection_confusion(
             selected, np.flatnonzero(influential), len(names)
@@ -247,7 +252,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    # a file that is not text fails to decode; any other ValueError is a bug
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"survscreen: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -134,14 +134,16 @@ def covariate_summary(
     return CovariateSummary(means, variances)
 
 
-def _parse_float(cell: str, row: int, column: str) -> float:
+def parse_cell(cell: str, row: int, column: str, convert=float):
+    """``convert(cell)``; a cell it cannot convert, or a non-finite value,
+    raises NonNumericCell.  Rows are 1-based data rows (header excluded)."""
     try:
-        value = float(cell)
+        value = convert(cell)
+        if np.isfinite(value):
+            return value
     except (TypeError, ValueError):
-        raise NonNumericCell(row, column) from None
-    if not np.isfinite(value):
-        raise NonNumericCell(row, column)
-    return value
+        pass
+    raise NonNumericCell(row, column)
 
 
 def load_sample(path, time_col: str = "time", status_col: str = "status") -> SurvivalSample:
@@ -165,21 +167,23 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
         t_idx = header.index(time_col)
         s_idx = header.index(status_col)
         cov_idx = [i for i in range(len(header)) if i not in (t_idx, s_idx)]
+        if not cov_idx:
+            raise MissingColumn("no covariate columns besides the time and status columns")
         names = [header[i] for i in cov_idx]
 
         times, events, rows = [], [], []
         for r, rec in enumerate(reader, start=1):
             if len(rec) != len(header):
                 raise NonNumericCell(r, "<row length>")
-            t = _parse_float(rec[t_idx], r, time_col)
+            t = parse_cell(rec[t_idx], r, time_col)
             if t <= 0:
                 raise NonPositiveTime(r)
-            s = _parse_float(rec[s_idx], r, status_col)
+            s = parse_cell(rec[s_idx], r, status_col)
             if s not in (0.0, 1.0):
                 raise NonBinaryStatus(r)
             times.append(t)
             events.append(int(s))
-            rows.append([_parse_float(rec[i], r, header[i]) for i in cov_idx])
+            rows.append([parse_cell(rec[i], r, header[i]) for i in cov_idx])
 
     if len(times) < 2:
         raise TooFewRows(f"need at least 2 data rows, got {len(times)}")

@@ -62,6 +62,13 @@ class UnknownField(ValidationError):
     pass
 
 
+class BadValue(ValidationError, ValueError):
+    """A config value or parameter outside its allowed set.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 class NoPositives(ValidationError):
     pass
 

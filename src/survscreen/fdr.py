@@ -19,7 +19,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import erf, erfc
 
 from .cars import ScoreVector
-from .errors import DegenerateScores, TooFewScores
+from .errors import BadValue, DegenerateScores, TooFewScores
 
 MIN_SCORES = 20
 
@@ -127,25 +127,46 @@ def _pava_decreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.repeat(values, counts)
 
 
-def _grenander_density(a: np.ndarray) -> np.ndarray:
-    """Decreasing density estimate of the magnitudes, evaluated at each one.
+def _grenander_density(a: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Decreasing density estimate of the magnitudes a, evaluated at ``at``.
 
     Slopes of the least concave majorant of the empirical CDF on [0, max a],
     computed by pool-adjacent-violators on the raw CDF increments.  An atom
-    at 0 is lumped into the first positive interval.
+    at 0 is lumped into the first positive interval.  A point takes the
+    slope of the interval (previous knot, knot] that holds it; points below
+    the first knot take the first slope and points beyond max a the last.
     """
     d = a.shape[0]
-    x, counts = np.unique(a, return_counts=True)
-    if x[0] == 0.0 and x.shape[0] > 1:
+    knots, counts = np.unique(a, return_counts=True)
+    if knots[0] == 0.0 and knots.shape[0] > 1:
         counts = np.concatenate(([counts[0] + counts[1]], counts[2:]))
-        grid = x[1:]
-    else:
-        grid = x
-    gaps = np.diff(np.concatenate(([0.0], grid)))
-    raw = (counts / d) / gaps
-    fitted = _pava_decreasing(raw, gaps)
-    idx = np.searchsorted(grid, np.maximum(a, grid[0]), side="left")
-    return fitted[idx]
+        knots = knots[1:]
+    gaps = np.diff(np.concatenate(([0.0], knots)))
+    slopes = _pava_decreasing((counts / d) / gaps, gaps)
+    return slopes[np.minimum(np.searchsorted(knots, at, side="left"), knots.shape[0] - 1)]
+
+
+def _fdr_curves(a: np.ndarray, at: np.ndarray, eta0: float, null_scale: float) -> dict:
+    """Null and mixture densities, local fdr and q-value at ascending ``at``.
+
+    The q-value at t is the smallest tail-area FDR estimate
+    eta0 * (null tail beyond s) / (fraction of magnitudes at or beyond s)
+    over the points s <= t of ``at``, which makes it non-increasing in t.
+    """
+    d = a.shape[0]
+    null = eta0 * (np.sqrt(2.0 / np.pi) / null_scale * np.exp(-(at**2) / (2.0 * null_scale**2)))
+    mixture = _grenander_density(a, at)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lfdr = np.where(mixture > 0, null / mixture, 1.0)
+    count_ge = np.maximum(d - np.searchsorted(np.sort(a), at, side="left"), 1)
+    fdr = np.minimum(1.0, eta0 * erfc(at / (null_scale * np.sqrt(2.0))) * d / count_ge)
+    return {
+        "magnitude": at,
+        "null_density": null,
+        "mixture_density": mixture,
+        "local_fdr": np.clip(lfdr, 0.0, 1.0),
+        "q_value": np.minimum.accumulate(fdr),
+    }
 
 
 def q_values(scores: np.ndarray, eta0: float, null_scale: float) -> SelectionResult:
@@ -156,27 +177,13 @@ def q_values(scores: np.ndarray, eta0: float, null_scale: float) -> SelectionRes
     thresholds t <= s, which makes q non-increasing in |score| and the
     induced selections nested in the threshold.
     """
-    arr = np.asarray(scores, dtype=float)
-    a = np.abs(arr)
-    d = a.shape[0]
-    a_sorted = np.sort(a)
+    a = np.abs(np.asarray(scores, dtype=float))
     grid = np.unique(a)
-
-    count_ge = d - np.searchsorted(a_sorted, grid, side="left")
-    null_tail = erfc(grid / (null_scale * np.sqrt(2.0)))
-    fdr = np.minimum(1.0, eta0 * null_tail * d / count_ge)
-    q_grid = np.minimum.accumulate(fdr)
-    q = q_grid[np.searchsorted(grid, a)]
-
-    f0 = np.sqrt(2.0 / np.pi) / null_scale * np.exp(-(a**2) / (2.0 * null_scale**2))
-    fhat = _grenander_density(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lfdr = np.where(fhat > 0, eta0 * f0 / fhat, 1.0)
-    lfdr = np.clip(lfdr, 0.0, 1.0)
-
+    curve = _fdr_curves(a, grid, eta0, null_scale)
+    idx = np.searchsorted(grid, a)
     return SelectionResult(
-        q_values=q,
-        local_fdr=lfdr,
+        q_values=curve["q_value"][idx],
+        local_fdr=curve["local_fdr"][idx],
         eta0=eta0,
         null_scale=null_scale,
         selected=np.empty(0, dtype=int),
@@ -196,43 +203,13 @@ def null_model_curve(
     externally.
     """
     a = np.abs(np.asarray(scores, dtype=float))
-    grid = np.linspace(0.0, float(a.max()), points)
-    f0 = np.sqrt(2.0 / np.pi) / null_scale * np.exp(
-        -(grid**2) / (2.0 * null_scale**2)
-    )
-
-    d = a.shape[0]
-    x, counts = np.unique(a, return_counts=True)
-    if x[0] == 0.0 and x.shape[0] > 1:
-        counts = np.concatenate(([counts[0] + counts[1]], counts[2:]))
-        x = x[1:]
-    gaps = np.diff(np.concatenate(([0.0], x)))
-    slopes = _pava_decreasing((counts / d) / gaps, gaps)
-    idx = np.minimum(np.searchsorted(x, grid, side="left"), x.shape[0] - 1)
-    mixture = slopes[idx]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lfdr = np.where(mixture > 0, eta0 * f0 / mixture, 1.0)
-    lfdr = np.clip(lfdr, 0.0, 1.0)
-
-    a_sorted = np.sort(a)
-    count_ge = np.maximum(d - np.searchsorted(a_sorted, grid, side="left"), 1)
-    fdr = np.minimum(1.0, eta0 * erfc(grid / (null_scale * np.sqrt(2.0))) * d / count_ge)
-    q = np.minimum.accumulate(fdr)
-
-    return {
-        "magnitude": grid,
-        "null_density": eta0 * f0,
-        "mixture_density": mixture,
-        "local_fdr": lfdr,
-        "q_value": q,
-    }
+    return _fdr_curves(a, np.linspace(0.0, float(a.max()), points), eta0, null_scale)
 
 
 def select(scores: ScoreVector | np.ndarray, alpha: float) -> SelectionResult:
     """Fit the null, compute q-values and select covariates with q <= alpha."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise BadValue(f"alpha must be in (0, 1), got {alpha}")
     arr = scores.scores if isinstance(scores, ScoreVector) else np.asarray(scores)
     eta0, null_scale = fit_null(arr)
     result = q_values(arr, eta0, null_scale)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CovariateSummary, SurvivalSample, fmt_float
-from .errors import DegenerateOutcome
+from .errors import BadValue, DegenerateOutcome
 
 #: correlations are clamped into [-1, 1] only when they exceed by at most this
 CLAMP_TOL = 1e-8
@@ -94,14 +94,19 @@ def censoring_km(sample: SurvivalSample) -> CensoringSurvivorCurve:
     return CensoringSurvivorCurve(jump_times, np.cumprod(factors))
 
 
+def check_nu(nu: float) -> None:
+    """Reject a positivity floor outside (0, 1)."""
+    if not 0.0 < nu < 1.0:
+        raise BadValue(f"nu must be in (0, 1), got {nu}")
+
+
 def ipc_weights(sample: SurvivalSample, curve: CensoringSurvivorCurve, nu: float) -> IpcWeightSet:
     """Inverse-probability-of-censoring weights with positivity floor nu.
 
     Censored observations get weight exactly 0; an observed event at log
     time y gets 1 / max(G(y), nu) where G uses the event-first tie rule.
     """
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must be in (0, 1), got {nu}")
+    check_nu(nu)
     g = curve.evaluate_left(sample.log_times)
     is_event = sample.events == 1
     weights = np.where(is_event, 1.0 / np.maximum(g, nu), 0.0)

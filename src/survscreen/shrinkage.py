@@ -156,7 +156,6 @@ class ShrinkageCorrelation:
 
     matrix: np.ndarray
     shrinkage: float
-    sample_corr_rank: int
 
 
 @dataclass
@@ -206,11 +205,11 @@ def shrink(corr: np.ndarray, lam: float) -> ShrinkageCorrelation:
     np.fill_diagonal(out, 0.0)
     out += lam * np.eye(corr.shape[0])
     np.fill_diagonal(out, 1.0)
-    return ShrinkageCorrelation(out, lam, corr.shape[0])
+    return ShrinkageCorrelation(out, lam)
 
 
-def inverse_sqrt(shrunk: ShrinkageCorrelation) -> InverseSqrtCorrelation:
-    """Dense symmetric inverse square root via eigendecomposition."""
+def _dense_whitener(shrunk: ShrinkageCorrelation) -> tuple[InverseSqrtCorrelation, float, float]:
+    """(inverse square root, shrinkage weight, smallest eigenvalue), from one eigh."""
     w, v = np.linalg.eigh(shrunk.matrix)
     if w.min() <= MIN_EIGENVALUE:
         raise SingularMatrix(
@@ -218,13 +217,13 @@ def inverse_sqrt(shrunk: ShrinkageCorrelation) -> InverseSqrtCorrelation:
         )
     m = (v * w**-0.5) @ v.T
     m = (m + m.T) / 2
-    return InverseSqrtCorrelation(dim=shrunk.matrix.shape[0], matrix=m)
+    whitener = InverseSqrtCorrelation(dim=shrunk.matrix.shape[0], matrix=m)
+    return whitener, shrunk.shrinkage, float(w.min())
 
 
-def _dense_whitener(corr: np.ndarray, lam: float) -> tuple[InverseSqrtCorrelation, float, float]:
-    shrunk = shrink(corr, lam)
-    w = np.linalg.eigvalsh(shrunk.matrix)
-    return inverse_sqrt(shrunk), lam, float(w.min())
+def inverse_sqrt(shrunk: ShrinkageCorrelation) -> InverseSqrtCorrelation:
+    """Dense symmetric inverse square root via eigendecomposition."""
+    return _dense_whitener(shrunk)[0]
 
 
 def whitener_from_data(
@@ -255,7 +254,7 @@ def whitener_from_data(
 
     if weights is None:
         if d <= n:
-            return _dense_whitener(sample_correlations(x), lam)
+            return _dense_whitener(shrink(sample_correlations(x), lam))
         z, _ = _standardize(x)
         _, s, vt = np.linalg.svd(z, full_matrices=False)
         mu = s**2 / (n - 1)
@@ -266,7 +265,7 @@ def whitener_from_data(
             corr = a.T @ a
             corr = (corr + corr.T) / 2
             np.fill_diagonal(corr, 1.0)
-            return _dense_whitener(corr, lam)
+            return _dense_whitener(shrink(corr, lam))
         _, s, vt = np.linalg.svd(a, full_matrices=False)
         mu = s**2
     keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)

@@ -12,15 +12,16 @@ exactly at the population level.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from .data import SurvivalSample
-from .errors import BadDimension, BadFraction, ZeroSignal
+from .errors import BadDimension, BadFraction, BadValue, UnknownField, ZeroSignal
 
 DEFAULT_MAGNITUDES = (0.25, 0.5, 0.75)
 
@@ -49,14 +50,14 @@ class ScenarioConfig:
         if not 0.0 < self.influential_fraction < 1.0:
             raise BadFraction(f"influential_fraction must be in (0, 1), got {self.influential_fraction}")
         if not 0.0 < self.explained_variance < 1.0:
-            raise ValueError("explained_variance must be in (0, 1)")
+            raise BadValue("explained_variance must be in (0, 1)")
         if not 0.0 < self.censoring_rate < 1.0:
-            raise ValueError("censoring_rate must be in (0, 1)")
+            raise BadValue("censoring_rate must be in (0, 1)")
         if not 0.0 < self.cutoff_quantile <= 1.0:
-            raise ValueError("cutoff_quantile must be in (0, 1]; 1.0 disables the cutoff")
+            raise BadValue("cutoff_quantile must be in (0, 1]; 1.0 disables the cutoff")
         self.block_magnitudes = tuple(float(m) for m in self.block_magnitudes)
         if len(self.block_magnitudes) != 3:
-            raise ValueError("block_magnitudes must have exactly 3 entries")
+            raise BadValue("block_magnitudes must have exactly 3 entries")
 
 
 @dataclass
@@ -269,9 +270,21 @@ def generate_dataset(
     return sample, truth
 
 
-# --- flat key=value scenario config files -----------------------------------
+# --- flat key=value config files --------------------------------------------
 
-_SCALAR_PARSERS = {
+#: scenario fields, in the order bench scenario keys list them
+SCENARIO_FIELDS = (
+    "n",
+    "d",
+    "influential_fraction",
+    "influential_block",
+    "explained_variance",
+    "censoring_rate",
+    "cutoff_quantile",
+    "block_magnitudes",
+)
+
+FIELD_PARSERS = {
     "n": int,
     "d": int,
     "influential_fraction": float,
@@ -279,33 +292,56 @@ _SCALAR_PARSERS = {
     "explained_variance": float,
     "censoring_rate": float,
     "cutoff_quantile": float,
+    "block_magnitudes": lambda s: tuple(float(p) for p in s.split(":")),
     "seed": int,
 }
 
 
-def _parse_magnitudes(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(":"))
+def parse_value(key: str, text: str):
+    """One config value, converted by the parser of its key."""
+    if key not in FIELD_PARSERS:
+        raise UnknownField(f"unknown config key {key!r}")
+    try:
+        return FIELD_PARSERS[key](text)
+    except ValueError:
+        raise BadValue(f"bad value {text!r} for {key!r}") from None
 
 
-def parse_config_lines(lines) -> dict:
-    """Parse `key=value` lines; '#' starts a comment, blanks are skipped."""
-    out: dict = {}
+def parse_grid(lines) -> tuple[list[dict], int]:
+    """Parse a grid config into (scenario parameter dicts, master seed).
+
+    Lines are `key=value`; '#' starts a comment and blank lines are
+    skipped.  Every value but the seed's may be a comma-separated list, and
+    the scenarios are the cartesian product of the listed values.  Keys left
+    out take their ScenarioConfig defaults; the others are required.
+    """
+    swept = {f.name: [f.default] for f in fields(ScenarioConfig) if f.default is not MISSING}
+    seed = swept.pop("seed")[0]
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"expected key=value, got {line!r}")
+            raise BadValue(f"expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "block_magnitudes":
-            out[key] = _parse_magnitudes(value)
-        elif key in _SCALAR_PARSERS:
-            out[key] = _SCALAR_PARSERS[key](value)
+        if key == "seed":
+            seed = parse_value(key, value)
         else:
-            raise ValueError(f"unknown scenario key {key!r}")
-    return out
+            swept[key] = [parse_value(key, tok.strip()) for tok in value.split(",")]
+    missing = [k for k in SCENARIO_FIELDS if k not in swept]
+    if missing:
+        raise UnknownField(f"config missing keys: {', '.join(missing)}")
+    scenarios = [
+        dict(zip(SCENARIO_FIELDS, combo))
+        for combo in itertools.product(*(swept[k] for k in SCENARIO_FIELDS))
+    ]
+    return scenarios, seed
 
 
 def load_scenario_config(path) -> ScenarioConfig:
+    """Read a scenario config: a grid config with one value per key."""
     with open(path) as fh:
-        return ScenarioConfig(**parse_config_lines(fh))
+        scenarios, seed = parse_grid(fh)
+    if len(scenarios) != 1:
+        raise BadValue(f"a scenario config takes one value per key, got {len(scenarios)} scenarios")
+    return ScenarioConfig(**scenarios[0], seed=seed)

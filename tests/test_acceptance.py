@@ -185,11 +185,13 @@ def _method_median(report_obj, method, metric):
 
 
 COMPARISON_NOTE = (
-    "known-failing expectation: at 25% censoring the IPC weights drop "
-    "censored rows entirely while the partial likelihood keeps them in "
-    "every risk set; the direction reverses only near zero censoring "
-    "(measured: uncorrelated d=150, n=250 gives cars/cox PR-AUC "
-    "0.72/0.68 uncensored but 0.57/0.69 at 25%)"
+    "measured on fresh replicates of this design: without censoring CARS "
+    "leads Cox by +0.074 PR-AUC and +0.014 rank correlation; at 25% "
+    "censoring with the cutoff it leads by +0.024 PR-AUC and ties or "
+    "trails slightly in rank correlation (-0.001 +/- 0.002, -0.003 +/- "
+    "0.001 over 300 replicates), because IPC weighting uses only the events "
+    "and the rows at the end of follow-up while the partial likelihood "
+    "keeps every censored row in its risk sets (README per-layer table)"
 )
 
 

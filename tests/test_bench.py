@@ -1,17 +1,24 @@
+import csv
+from operator import itemgetter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from survscreen.bench import (
+    SCENARIO_FIELDS,
+    BenchReport,
+    BenchRow,
     emit_plotdata,
     parse_grid,
     read_report,
     run_bench,
     scenario_key,
     write_report,
+    write_plotdata,
     write_summary,
 )
-from survscreen.errors import UnknownField
+from survscreen.errors import BadValue, UnknownField
 
 GRID = """
 n = 60
@@ -116,8 +123,6 @@ def test_plotdata_unknown_field():
 
 
 def test_plotdata_empty_report(tmp_path):
-    from survscreen.bench import BenchReport, write_plotdata
-
     rows = emit_plotdata(BenchReport([], {}), ["n"])
     assert rows == []
     out = tmp_path / "plot.csv"
@@ -130,3 +135,55 @@ def test_scenario_key_stable():
     key = scenario_key(scenarios[0])
     assert key.startswith("n=60;d=12;")
     assert "block_magnitudes=0.25:0.5:0.75" in key
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_plotdata_by_every_field_is_the_summary(tmp_path):
+    scenarios, seed = parse_grid(SWEPT_GRID.splitlines())
+    report = run_bench(scenarios, seed, replicates=3)
+    write_summary(report, tmp_path / "summary.csv")
+    write_plotdata(emit_plotdata(report, list(SCENARIO_FIELDS)), list(SCENARIO_FIELDS),
+                   tmp_path / "plot.csv")
+    summary = read_csv(tmp_path / "summary.csv")
+    plot = [
+        dict(scenario=";".join(f"{f}={row.pop(f)}" for f in SCENARIO_FIELDS), **row)
+        for row in read_csv(tmp_path / "plot.csv")
+    ]
+    assert len(summary) == 16
+    order = itemgetter("scenario", "method", "metric")
+    assert sorted(plot, key=order) == sorted(summary, key=order)
+
+
+def test_all_error_group_has_count_zero_in_both_outputs(tmp_path):
+    scenarios, _ = parse_grid(GRID.splitlines())
+    key = scenario_key(scenarios[0])
+    report = BenchReport(
+        [
+            BenchRow(key, 0, "cars", None, None, "DegenerateOutcome", 0.0),
+            BenchRow(key, 0, "cox", 0.5, 0.25, "", 0.0),
+            BenchRow(key, 1, "cars", None, None, "SingularMatrix", 0.0),
+            BenchRow(key, 1, "cox", 0.75, 0.5, "", 0.0),
+        ],
+        {key: scenarios[0]},
+    )
+    write_summary(report, tmp_path / "summary.csv")
+    write_plotdata(emit_plotdata(report, ["n"]), ["n"], tmp_path / "plot.csv")
+    for rows in (read_csv(tmp_path / "summary.csv"), read_csv(tmp_path / "plot.csv")):
+        assert [(r["method"], r["count"]) for r in rows] == [
+            ("cars", "0"), ("cars", "0"), ("cox", "2"), ("cox", "2")
+        ]
+        assert all(r[q] == "nan" for r in rows[:2] for q in ("q1", "median", "q3"))
+        assert [r["median"] for r in rows[2:]] == ["0.625", "0.375"]
+
+
+def test_bad_nu_raises_before_any_job():
+    scenarios, seed = parse_grid(GRID.splitlines())
+    with pytest.raises(BadValue):
+        run_bench(scenarios, seed, replicates=1, nu=2.0)
+    # BadValue is also a ValueError for callers that catch that
+    with pytest.raises(ValueError):
+        run_bench(scenarios, seed, replicates=1, nu=0.0)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from survscreen import bench
 from survscreen.cli import main
 
 SCENARIO = """
@@ -150,3 +151,83 @@ def test_seed_flag_overrides_config(tmp_path):
     main(["--seed", "123", "simulate", "--config", str(cfg), "--output-dir", str(c)])
     assert (a / "data_0.csv").read_bytes() != (b / "data_0.csv").read_bytes()
     assert (b / "data_0.csv").read_bytes() == (c / "data_0.csv").read_bytes()
+
+
+SCENARIO_KEYS = SCENARIO.replace("seed = 9\n", "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SCENARIO_KEYS.replace("n = 150\n", ""),  # missing key
+        SCENARIO_KEYS.replace("n = 150", "n = 150, 300"),  # listed value
+        SCENARIO_KEYS + "bogus = 1\n",  # unknown key
+        SCENARIO_KEYS + "block_magnitudes = 0.2:0.4\n",  # two magnitudes
+    ],
+    ids=["missing", "listed", "unknown", "magnitudes"],
+)
+def test_simulate_bad_config_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    code = main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("survscreen: ")
+
+
+@pytest.mark.parametrize("method", ["cars", "cox"])
+def test_score_without_covariates_exit_2(tmp_path, capsys, method):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("time,status\n1,1\n2,0\n3,1\n4,1\n")
+    out = tmp_path / "o.csv"
+    code = main(["score", "--input", str(bad), "--method", method, "--output", str(out)])
+    assert code == 2
+    assert "MissingColumn" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["high", "nan"])
+def test_non_numeric_score_cell_exit_2(tmp_path, capsys, cell):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("name,score\n" + "".join(f"x{i},{i / 10}\n" for i in range(25)) + f"x25,{cell}\n")
+    code = main(["select", "--scores", str(scores), "--alpha", "0.1",
+                 "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "NonNumericCell" in capsys.readouterr().err
+
+
+def test_bench_bad_nu_exit_2_without_report(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SCENARIO)
+    report = tmp_path / "report.csv"
+    code = main(["--nu", "2", "bench", "--config", str(cfg), "--output", str(report)])
+    assert code == 2
+    assert "nu must be in (0, 1)" in capsys.readouterr().err
+    assert not report.exists()
+
+
+REPORT_HEADER = ",".join(bench.REPORT_HEADER) + "\n"
+FULL_KEY = (
+    "n=60;d=12;influential_fraction=0.25;influential_block=3;explained_variance=0.75;"
+    "censoring_rate=0.25;cutoff_quantile=0.9;block_magnitudes=0.25:0.5:0.75"
+)
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("a,b\n1,2\n", "MissingColumn"),
+        (REPORT_HEADER + FULL_KEY + ",x,cars,0.5,0.5,\n", "NonNumericCell"),
+        (REPORT_HEADER + FULL_KEY + ",0,cars,0.5,nan,\n", "NonNumericCell"),
+        (REPORT_HEADER + FULL_KEY.replace("n=60", "n=6x0") + ",0,cars,0.5,0.5,\n", "BadValue"),
+        (REPORT_HEADER + "n=60,0,cars,0.5,0.5,\n", "UnknownField"),
+    ],
+    ids=["header", "replicate", "nan", "key-value", "key-fields"],
+)
+def test_plotdata_malformed_report_exit_2(tmp_path, capsys, text, kind):
+    report = tmp_path / "report.csv"
+    report.write_text(text)
+    code = main(["plotdata", "--report", str(report), "--group-by", "d",
+                 "--output", str(tmp_path / "plot.csv")])
+    assert code == 2
+    assert kind in capsys.readouterr().err

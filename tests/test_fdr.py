@@ -35,7 +35,7 @@ def test_pava_matches_minmax_oracle():
 def test_grenander_density_integrates_to_one():
     rng = np.random.default_rng(1)
     a = np.abs(rng.standard_normal(200))
-    f = _grenander_density(a)
+    f = _grenander_density(a, a)
     x = np.sort(np.unique(a))
     gaps = np.diff(np.concatenate(([0.0], x)))
     fitted = f[np.argsort(a)][np.searchsorted(np.sort(a), x)]

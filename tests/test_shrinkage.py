@@ -297,3 +297,29 @@ def test_zero_weight_rows_drop_out():
     a, _, _ = whitener_from_data(x, None, w)
     b, _, _ = whitener_from_data(x[keep], None, w[keep])
     npt.assert_allclose(a.to_matrix(), b.to_matrix(), atol=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dense_whitener_takes_min_eigenvalue_from_its_one_eigh(weighted):
+    from survscreen.shrinkage import _weighted_rows
+
+    rng = np.random.default_rng(59)
+    for n, d in ((40, 6), (25, 25), (60, 12)):
+        x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) / np.sqrt(d)
+        if weighted:
+            w = rng.uniform(0.2, 2.0, size=n)
+            a, _ = _weighted_rows(x, w)
+            corr = a.T @ a
+            corr = (corr + corr.T) / 2
+            np.fill_diagonal(corr, 1.0)
+        else:
+            w = None
+            corr = sample_correlations(x)
+        white, lam, min_eig = whitener_from_data(x, None, w)
+        shrunk = shrink(corr, lam)
+        npt.assert_array_equal(white.matrix, inverse_sqrt(shrunk).matrix)
+        assert min_eig == np.linalg.eigh(shrunk.matrix)[0].min()
+
+        white, lam, min_eig = whitener_from_data(x, 1.0, w)
+        npt.assert_array_equal(white.matrix, np.eye(d))
+        assert lam == 1.0 and min_eig == 1.0

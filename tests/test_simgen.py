@@ -15,7 +15,7 @@ from survscreen import (
     sample_covariates,
 )
 from survscreen.errors import BadDimension, BadFraction, ZeroSignal
-from survscreen.simulate import load_scenario_config
+from survscreen.simulate import load_scenario_config, parse_grid
 
 
 def dykstra_oracle(a, iters=10_000, tol=1e-12):
@@ -291,3 +291,20 @@ def test_config_file_round_trip(tmp_path):
     assert config.n == 120 and config.d == 30
     assert config.block_magnitudes == (0.2, 0.4, 0.6)
     assert config.seed == 77
+
+
+def test_scenario_config_is_a_one_point_grid(tmp_path):
+    text = (
+        "n = 90\n"
+        "d = 12\n"
+        "influential_fraction = 0.25  # 3 of 12\n"
+        "influential_block = 2\n"
+        "explained_variance = 0.6\n"
+        "censoring_rate = 0.3\n"
+        "seed = 8\n"
+    )
+    p = tmp_path / "scenario.cfg"
+    p.write_text(text)
+    (params,), seed = parse_grid(text.splitlines())
+    assert load_scenario_config(p) == ScenarioConfig(**params, seed=seed)
+    assert load_scenario_config(p).cutoff_quantile == ScenarioConfig.cutoff_quantile
