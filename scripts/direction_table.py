@@ -36,12 +36,15 @@ import argparse
 
 import numpy as np
 
-from survscreen import (
-    cars_score, censoring_km, correlation_vector, covariate_summary,
-    cox_scores, ipc_weights, pr_auc, rank_correlation, weighted_covariances,
-    weighted_mean, weighted_variance, whitener_from_data,
-)
+from survscreen import cars_score, cox_scores, pr_auc
 from survscreen.cars import DEFAULT_NU, scoring_weights
+from survscreen.data import covariate_summary
+from survscreen.ipcw import (
+    censoring_km, correlation_vector, ipc_weights, weighted_covariances, weighted_mean,
+    weighted_variance,
+)
+from survscreen.metrics import rank_correlation
+from survscreen.shrinkage import whitener_from_data
 from survscreen.simulate import (
     ScenarioConfig, build_block_design, generate_dataset, nearest_correlation, replicate_rng,
 )

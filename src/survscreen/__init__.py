@@ -3,100 +3,31 @@
 CARS scores (IPC-weighted correlations between de-correlated covariates
 and log survival time), a univariate Cox Z-score baseline, FDR-based
 selection and the simulation/evaluation harness around them.
+
+The package root holds the library entry points the README shows; every
+other public name is imported from its own module (``survscreen.ipcw``,
+``survscreen.shrinkage``, ...).
 """
 
 from .cars import ScoreVector, cars_score, rank_by_magnitude
-from .cox import CoxFit, cox_scores, cox_univariate
-from .data import (
-    CovariateSummary,
-    SurvivalSample,
-    covariate_summary,
-    load_sample,
-    save_sample,
-)
-from .fdr import SelectionResult, fit_null, q_values, select
-from .ipcw import (
-    CensoringSurvivorCurve,
-    IpcWeightSet,
-    censoring_km,
-    correlation_vector,
-    ipc_weights,
-    save_censoring_curve,
-    weighted_covariances,
-    weighted_mean,
-    weighted_variance,
-)
-from .metrics import PrCurve, pr_auc, rank_correlation, selection_confusion
-from .shrinkage import (
-    InverseSqrtCorrelation,
-    ShrinkageCorrelation,
-    inverse_sqrt,
-    sample_correlations,
-    shrink,
-    shrinkage_lambda,
-    whitener_from_data,
-)
-from .simulate import (
-    GroundTruth,
-    ScenarioConfig,
-    build_block_design,
-    calibrate_censoring,
-    calibrate_noise,
-    generate_dataset,
-    make_beta,
-    nearest_correlation,
-    population_scores,
-    replicate_rng,
-    sample_covariates,
-)
+from .cox import cox_scores
+from .data import SurvivalSample, load_sample
+from .fdr import SelectionResult, select
+from .metrics import pr_auc
+from .simulate import ScenarioConfig, generate_dataset
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CensoringSurvivorCurve",
-    "CovariateSummary",
-    "CoxFit",
-    "GroundTruth",
-    "InverseSqrtCorrelation",
-    "IpcWeightSet",
-    "PrCurve",
     "ScenarioConfig",
     "ScoreVector",
     "SelectionResult",
-    "ShrinkageCorrelation",
     "SurvivalSample",
-    "build_block_design",
-    "calibrate_censoring",
-    "calibrate_noise",
     "cars_score",
-    "censoring_km",
-    "correlation_vector",
-    "covariate_summary",
     "cox_scores",
-    "cox_univariate",
-    "fit_null",
     "generate_dataset",
-    "inverse_sqrt",
-    "ipc_weights",
     "load_sample",
-    "make_beta",
-    "nearest_correlation",
-    "population_scores",
     "pr_auc",
-    "q_values",
     "rank_by_magnitude",
-    "rank_correlation",
-    "replicate_rng",
-    "sample_correlations",
-    "sample_covariates",
-    "save_censoring_curve",
-    "save_sample",
     "select",
-    "selection_confusion",
-    "shrink",
-    "shrinkage_lambda",
-    "weighted_covariances",
-    "weighted_mean",
-    "weighted_variance",
-    "whitener_from_data",
 ]

@@ -63,16 +63,10 @@ def _read_truth(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return names, np.asarray(beta), np.asarray(influential, dtype=int)
 
 
-def _effective_nu(args) -> float:
-    # subcommand-level --nu wins over the global flag when both are given
-    local = getattr(args, "nu_local", None)
-    return args.nu if local is None else local
-
-
 def _cmd_score(args) -> None:
     sample = load_sample(args.input, args.time_col, args.status_col)
     if args.method == "cars":
-        sv = cars_score(sample, nu=_effective_nu(args), lambda_override=args.lambda_override)
+        sv = cars_score(sample, nu=args.nu, lambda_override=args.lambda_override)
         diag = sv.diagnostics
         print(
             f"survscreen: shrinkage={fmt_float(diag['shrinkage'])} "
@@ -173,7 +167,7 @@ def _cmd_bench(args) -> None:
     if args.seed is not None:
         seed = args.seed
     report = bench_mod.run_bench(
-        scenarios, seed, args.replicates, parallelism=args.threads, nu=_effective_nu(args)
+        scenarios, seed, args.replicates, parallelism=args.threads, nu=args.nu
     )
     bench_mod.write_report(report, args.output)
     if args.summary:
@@ -207,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-col", default="time")
     p.add_argument("--status-col", default="status")
     p.add_argument("--lambda-override", type=float, default=None)
-    p.add_argument("--nu", dest="nu_local", type=float, default=None)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("select", help="FDR-based selection from a scores CSV")
@@ -236,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--summary", default=None, help="aggregate quartiles CSV")
     p.add_argument("--timings", default=None, help="wall-time CSV")
-    p.add_argument("--nu", dest="nu_local", type=float, default=None)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("plotdata", help="group a bench report for plotting")

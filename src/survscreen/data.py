@@ -103,31 +103,26 @@ class CovariateSummary:
 def covariate_summary(
     sample: SurvivalSample, weights: np.ndarray | None = None
 ) -> CovariateSummary:
-    """Per-covariate means and sample variances, optionally weighted.
+    """Per-covariate means and variances of a weighted distribution.
 
-    Without ``weights`` (or with all weights equal to 1) these are the plain
-    means and the n-1 divisor variances.  With weights w they are the
-    moments of the weighted distribution: means sum(w x) / sum(w) and
-    variances sum(w (x - mean)^2) / (sum(w) - 1), which is the plain
-    n-1 divisor when w sums to n.  Rows of weight 0 do not count at all.
+    With weights w the means are sum(w x) / sum(w) and the variances
+    sum(w (x - mean)^2) / (sum(w) - 1), which is the n-1 divisor when w
+    sums to n; rows of weight 0 do not count at all.  ``weights=None``
+    gives every row weight 1: the plain means and n-1 divisor variances.
 
     Constant columns (over the rows that carry weight) are flagged via
     ``CovariateSummary.degenerate`` rather than rejected; downstream scoring
     assigns them score 0.
     """
+    weights = np.ones(sample.n) if weights is None else np.asarray(weights, dtype=float)
+    carried = weights > 0
     # reduce along the contiguous axis of the transposed copy so each column
     # is summed in the same order regardless of how columns are partitioned
-    xt = np.ascontiguousarray(sample.covariates.T)
-    if weights is None or np.all(weights == 1.0):
-        means = xt.mean(axis=1)
-        variances = ((xt - means[:, None]) ** 2).sum(axis=1) / (sample.n - 1)
-    else:
-        carried = weights > 0
-        xt = np.ascontiguousarray(xt[:, carried])
-        w = weights[carried]
-        total = float(w.sum())
-        means = (xt * w).sum(axis=1) / total
-        variances = ((xt - means[:, None]) ** 2 * w).sum(axis=1) / (total - 1.0)
+    xt = np.ascontiguousarray(sample.covariates.T[:, carried])
+    w = weights[carried]
+    total = float(w.sum())
+    means = (xt * w).sum(axis=1) / total
+    variances = ((xt - means[:, None]) ** 2 * w).sum(axis=1) / (total - 1.0)
     # a constant column has zero variance exactly; do not let mean round-off
     # leave a 1e-32 residue that would defeat the degeneracy flag
     variances[(xt == xt[:, :1]).all(axis=1)] = 0.0

@@ -15,8 +15,7 @@ scoring therefore also counts the rows censored at the largest time
 (Efron's tail rule, see ``cars``), rescales the weights to sum to n and
 takes the covariate means, variances and correlations from the same
 weights, which bounds every correlation by sqrt((n-1)/n) in absolute
-value.  Callers that mix weights can get correlations outside [-1, 1];
-excursions beyond 1e-8 are left visible rather than clamped.
+value.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ import numpy as np
 
 from .data import CovariateSummary, SurvivalSample, fmt_float
 from .errors import BadValue, DegenerateOutcome
-
-#: correlations are clamped into [-1, 1] only when they exceed by at most this
-CLAMP_TOL = 1e-8
 
 #: weighted variance at or below this is treated as a degenerate outcome
 VARIANCE_FLOOR = 1e-14
@@ -156,20 +152,15 @@ def correlation_vector(
 ) -> np.ndarray:
     """Per-covariate correlation with the log outcome.
 
-    Zero-variance covariates map to 0.  Values outside [-1, 1] by at most
-    CLAMP_TOL are clamped; larger excursions (possible when the covariate
-    summary and the outcome moments come from different weights, or from
-    weights that do not sum to n) are returned as-is so callers can flag
-    them.
+    Zero-variance covariates map to 0.  Nothing is clamped: with the
+    summary and the outcome moments taken from one set of weights summing
+    to n, every value is at most sqrt((n-1)/n) in absolute value.
     """
     if var_w <= 0:
         raise DegenerateOutcome("weighted outcome variance must be positive")
     out = np.zeros_like(covariances, dtype=float)
     ok = summary.variances > 0
     out[ok] = covariances[ok] / (np.sqrt(summary.variances[ok]) * np.sqrt(var_w))
-    excess = np.abs(out) - 1.0
-    clampable = (excess > 0) & (excess <= CLAMP_TOL)
-    out[clampable] = np.sign(out[clampable])
     return out
 
 

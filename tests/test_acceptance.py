@@ -10,25 +10,20 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from survscreen import (
-    SurvivalSample,
-    cars_score,
+from survscreen import SurvivalSample, cars_score, pr_auc, select
+from survscreen.bench import parse_grid, run_bench, write_report, write_summary
+from survscreen.cox import cox_univariate
+from survscreen.data import covariate_summary
+from survscreen.ipcw import (
     censoring_km,
     correlation_vector,
-    covariate_summary,
-    cox_univariate,
     ipc_weights,
-    nearest_correlation,
-    pr_auc,
-    select,
-    shrinkage_lambda,
     weighted_covariances,
     weighted_mean,
     weighted_variance,
 )
-from survscreen.bench import parse_grid, run_bench, write_report, write_summary
-from survscreen.shrinkage import whitener_from_data
-from survscreen.simulate import calibrate_censoring, calibrate_noise
+from survscreen.shrinkage import shrinkage_lambda, whitener_from_data
+from survscreen.simulate import calibrate_censoring, calibrate_noise, nearest_correlation
 
 from test_cox import breslow_loglik, golden_section_argmax
 from test_ipcw import km_censoring_oracle

@@ -2,20 +2,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import (
-    SurvivalSample,
-    cars_score,
+from survscreen import SurvivalSample, cars_score, rank_by_magnitude
+from survscreen.cars import scoring_weights
+from survscreen.data import covariate_summary
+from survscreen.errors import DegenerateOutcome
+from survscreen.ipcw import (
     censoring_km,
     correlation_vector,
-    covariate_summary,
     ipc_weights,
-    rank_by_magnitude,
     weighted_covariances,
     weighted_mean,
     weighted_variance,
 )
-from survscreen.cars import scoring_weights
-from survscreen.errors import DegenerateOutcome
 from survscreen.shrinkage import whitener_from_data
 
 from test_ipcw import km_censoring_oracle
@@ -215,16 +213,6 @@ def test_unshrunk_score_norm_is_weighted_r_squared():
         assert theta @ theta <= 1.0
         checked += 1
     assert checked >= 50
-
-
-def test_column_permutation_equivariance():
-    rng = np.random.default_rng(4)
-    s = censored_sample(rng, 120, 5, np.array([1.0, 0.5, 0.0, 0.0, 0.0]), 1.1)
-    perm = rng.permutation(5)
-    permuted = SurvivalSample.from_times(s.times, s.events, s.covariates[:, perm])
-    a = cars_score(s)
-    b = cars_score(permuted)
-    npt.assert_allclose(b.scores, a.scores[perm], rtol=1e-9, atol=1e-12)
 
 
 def test_consistency_toward_population_scores():

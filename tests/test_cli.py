@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ def test_bench_bad_nu_exit_2_without_report(tmp_path, capsys):
     assert code == 2
     assert "nu must be in (0, 1)" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_score_bad_nu_exit_2_without_scores(tmp_path, capsys):
+    # --nu is a global option only; the score subcommand does not take it
+    data = Path(__file__).parent / "data" / "golden_data.csv"
+    scores = tmp_path / "scores.csv"
+    code = main(["--nu", "2", "score", "--input", str(data), "--output", str(scores)])
+    assert code == 2
+    assert "nu must be in (0, 1)" in capsys.readouterr().err
+    assert not scores.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--input", str(data), "--output", str(scores), "--nu", "0.5"])
+    assert exc.value.code == 2
 
 
 REPORT_HEADER = ",".join(bench.REPORT_HEADER) + "\n"

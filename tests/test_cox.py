@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import SurvivalSample, cox_scores, cox_univariate
+from survscreen import SurvivalSample, cox_scores
+from survscreen.cox import cox_univariate
 from survscreen.errors import DegenerateOutcome
 
 
@@ -164,6 +165,38 @@ def test_matches_statsmodels_phreg_when_available():
         ref = sm.PHReg(times, x[:, None], status=events, ties="breslow").fit()
         npt.assert_allclose(fit.beta_hat, ref.params[0], atol=1e-8)
         npt.assert_allclose(fit.standard_error, ref.bse[0], atol=1e-8)
+        checked += 1
+    assert checked >= 15
+
+
+def breslow_information(beta, times, events, x):
+    """Observed information of the Breslow partial likelihood at beta: the
+    risk-set-weighted variance of x, summed over the events."""
+    out = 0.0
+    for i in range(len(times)):
+        if events[i] == 1:
+            risk = times >= times[i]
+            w = np.exp(beta * x[risk])
+            mean = (w * x[risk]).sum() / w.sum()
+            out += (w * (x[risk] - mean) ** 2).sum() / w.sum()
+    return out
+
+
+def test_standard_error_is_inverse_root_of_breslow_information():
+    # the 25 data sets of test_matches_statsmodels_phreg_when_available
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for rep in range(25):
+        n = 60
+        x = rng.standard_normal(n)
+        times = rng.lognormal(mean=rng.uniform(-0.8, 0.8) * x, sigma=0.7, size=n)
+        events = rng.integers(0, 2, size=n)
+        events[:3] = 1
+        fit = cox_univariate(times, events, x)
+        if fit.flag:
+            continue
+        info = breslow_information(fit.beta_hat, times, events, x)
+        npt.assert_allclose(fit.standard_error, 1.0 / np.sqrt(info), rtol=1e-10)
         checked += 1
     assert checked >= 15
 

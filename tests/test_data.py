@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import SurvivalSample, covariate_summary, load_sample, save_sample
+from survscreen import SurvivalSample, load_sample
+from survscreen.data import covariate_summary, save_sample
 from survscreen.errors import (
     MissingColumn,
     NonBinaryStatus,

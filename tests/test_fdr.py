@@ -2,9 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import fit_null, q_values, select
+from survscreen import select
 from survscreen.errors import DegenerateScores, TooFewScores
-from survscreen.fdr import _grenander_density, _pava_decreasing
+from survscreen.fdr import _grenander_density, _pava_decreasing, fit_null, q_values
 
 
 def pava_minmax_oracle(y, w):

@@ -2,11 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import (
-    SurvivalSample,
+from survscreen import SurvivalSample
+from survscreen.data import covariate_summary
+from survscreen.ipcw import (
     censoring_km,
     correlation_vector,
-    covariate_summary,
     ipc_weights,
     save_censoring_curve,
     weighted_covariances,

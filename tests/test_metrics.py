@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import pr_auc, rank_correlation, selection_confusion
+from survscreen import pr_auc
+from survscreen.metrics import rank_correlation, selection_confusion
 from survscreen.errors import DegenerateRanksWarning, NoPositives
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import (
+from survscreen.shrinkage import (
     inverse_sqrt,
     sample_correlations,
     shrink,
@@ -255,36 +255,31 @@ def weighted_corr_oracle(x, w):
 
 
 def test_weighted_lambda_matches_pairwise_oracle():
+    # each shape also runs with unit weights, given as ones and as None
     rng = np.random.default_rng(41)
     for n, d in ((20, 4), (12, 9), (40, 3)):
         x = rng.standard_normal((n, d))
         x[:, 0] = 0.6 * x[:, 1] + 0.8 * x[:, 0]
         w = rng.uniform(0.5, 3.0, size=n) * (rng.uniform(size=n) > 0.3)
-        npt.assert_allclose(shrinkage_lambda(x, w), weighted_lambda_oracle(x, w), rtol=1e-10)
-
-
-def test_unit_weights_give_unweighted_path_bitwise():
-    rng = np.random.default_rng(43)
-    for n, d in ((30, 6), (8, 20)):
-        x = rng.standard_normal((n, d))
-        assert shrinkage_lambda(x, np.ones(n)) == shrinkage_lambda(x)
-        a, lam_a, eig_a = whitener_from_data(x, 0.4 if d > n else None)
-        b, lam_b, eig_b = whitener_from_data(x, 0.4 if d > n else None, np.ones(n))
-        npt.assert_array_equal(a.to_matrix(), b.to_matrix())
-        assert (lam_a, eig_a) == (lam_b, eig_b)
+        for weights, given in ((w, w), (np.ones(n), np.ones(n)), (np.ones(n), None)):
+            npt.assert_allclose(
+                shrinkage_lambda(x, given), weighted_lambda_oracle(x, weights), rtol=1e-10
+            )
 
 
 def test_weighted_whitener_inverts_weighted_correlation():
     # both routes (dense when d <= rows of positive weight, thin SVD
-    # otherwise) give the inverse square root of lam I + (1 - lam) R_w
+    # otherwise) give the inverse square root of lam I + (1 - lam) R_w;
+    # each shape also runs with unit weights, given as ones and as None
     rng = np.random.default_rng(47)
     for n, d in ((40, 6), (24, 30)):
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) / np.sqrt(d)
         w = rng.uniform(0.2, 2.0, size=n) * (rng.uniform(size=n) > 0.25)
-        white, lam, _ = whitener_from_data(x, 0.3, w)
-        assert (white.matrix is None) == (d > np.count_nonzero(w))
-        dense = inverse_sqrt(shrink(weighted_corr_oracle(x, w), 0.3))
-        npt.assert_allclose(white.to_matrix(), dense.to_matrix(), atol=1e-9)
+        for weights, given in ((w, w), (np.ones(n), np.ones(n)), (np.ones(n), None)):
+            white, lam, _ = whitener_from_data(x, 0.3, given)
+            assert (white.matrix is None) == (d > np.count_nonzero(weights))
+            dense = inverse_sqrt(shrink(weighted_corr_oracle(x, weights), 0.3))
+            npt.assert_allclose(white.to_matrix(), dense.to_matrix(), atol=1e-9)
 
 
 def test_zero_weight_rows_drop_out():

@@ -2,20 +2,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import (
-    ScenarioConfig,
+from survscreen import ScenarioConfig, generate_dataset
+from survscreen.simulate import (
     build_block_design,
     calibrate_censoring,
     calibrate_noise,
-    generate_dataset,
     make_beta,
     nearest_correlation,
     population_scores,
+    load_scenario_config,
+    parse_grid,
     replicate_rng,
     sample_covariates,
 )
 from survscreen.errors import BadDimension, BadFraction, ZeroSignal
-from survscreen.simulate import load_scenario_config, parse_grid
 
 
 def dykstra_oracle(a, iters=10_000, tol=1e-12):
