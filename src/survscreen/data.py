@@ -147,7 +147,9 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
     The header row is mandatory.  Every column other than the time and
     status columns is treated as a numeric covariate; missing or
     non-numeric cells are rejected.  Row indices in errors are 1-based
-    data rows (header excluded).
+    data rows (header excluded).  Of several faults the first row with a
+    cell that does not parse is reported, else the first non-finite cell,
+    else the first time <= 0, else the first status other than 0 or 1.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -166,24 +168,27 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
             raise MissingColumn("no covariate columns besides the time and status columns")
         names = [header[i] for i in cov_idx]
 
-        times, events, rows = [], [], []
+        rows = []
         for r, rec in enumerate(reader, start=1):
             if len(rec) != len(header):
                 raise NonNumericCell(r, "<row length>")
-            t = parse_cell(rec[t_idx], r, time_col)
-            if t <= 0:
-                raise NonPositiveTime(r)
-            s = parse_cell(rec[s_idx], r, status_col)
-            if s not in (0.0, 1.0):
-                raise NonBinaryStatus(r)
-            times.append(t)
-            events.append(int(s))
-            rows.append([parse_cell(rec[i], r, header[i]) for i in cov_idx])
+            try:
+                rows.append([float(c) for c in rec])
+            except ValueError:
+                for cell, column in zip(rec, header):
+                    parse_cell(cell, r, column)
 
-    if len(times) < 2:
-        raise TooFewRows(f"need at least 2 data rows, got {len(times)}")
-    covariates = np.asarray(rows, dtype=float).reshape(len(times), len(cov_idx))
-    return SurvivalSample.from_times(times, events, covariates, names or None)
+    if len(rows) < 2:
+        raise TooFewRows(f"need at least 2 data rows, got {len(rows)}")
+    table = np.array(rows)
+    del rows
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        raise NonNumericCell(int(bad[0, 0]) + 1, header[bad[0, 1]])
+    # take() gives row-major copies that do not keep the whole table alive
+    return SurvivalSample.from_times(
+        table.take(t_idx, axis=1), table.take(s_idx, axis=1), table.take(cov_idx, axis=1), names
+    )
 
 
 def save_sample(sample: SurvivalSample, path) -> None:

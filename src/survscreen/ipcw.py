@@ -20,12 +20,11 @@ value.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovariateSummary, SurvivalSample, fmt_float
+from .data import CovariateSummary, SurvivalSample
 from .errors import BadValue, DegenerateOutcome
 
 #: weighted variance at or below this is treated as a degenerate outcome
@@ -162,12 +161,3 @@ def correlation_vector(
     ok = summary.variances > 0
     out[ok] = covariances[ok] / (np.sqrt(summary.variances[ok]) * np.sqrt(var_w))
     return out
-
-
-def save_censoring_curve(curve: CensoringSurvivorCurve, path) -> None:
-    """Export the curve as a two-column (jump_time, value) diagnostic CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["jump_time", "value"])
-        for t, v in zip(curve.jump_times, curve.values):
-            writer.writerow([fmt_float(t), fmt_float(v)])

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import SurvivalSample, cox_scores
+from survscreen import SurvivalSample, cox, cox_scores
 from survscreen.cox import cox_univariate
 from survscreen.errors import DegenerateOutcome
 
@@ -201,14 +201,26 @@ def test_standard_error_is_inverse_root_of_breslow_information():
     assert checked >= 15
 
 
-def test_cox_scores_single_column_composition():
+def test_cox_scores_single_column_composition(monkeypatch):
+    # every column of the batched fit equals the lone fit of that column,
+    # bit for bit, across blocks: constant, separated and tied-time columns
     rng = np.random.default_rng(17)
     n = 50
-    x = rng.standard_normal(n)
-    times = rng.lognormal(mean=0.3 * x, size=n)
+    times = np.maximum(np.round(rng.lognormal(size=n), 1), 0.1)
     events = rng.integers(0, 2, size=n)
     events[:3] = 1
-    s = SurvivalSample.from_times(times, events, x[:, None])
+    x = rng.standard_normal((n, 7))
+    x[:, 0] += 0.3 * np.log(times)
+    x[:, 2] = 4.0
+    x[:, 4] = -np.log(times)
+    monkeypatch.setattr(cox, "BLOCK_CELLS", 3 * n)
+    s = SurvivalSample.from_times(times, events, x)
     sv = cox_scores(s)
-    fit = cox_univariate(s.log_times, s.events, x)
-    assert sv.scores[0] == fit.z_score
+    flags = sv.diagnostics["flags"]
+    assert flags[2] == "degenerate" and flags[4] == "separation"
+    for j in range(x.shape[1]):
+        fit = cox_univariate(s.log_times, s.events, x[:, j])
+        assert sv.scores[j] == fit.z_score
+        assert flags[j] == fit.flag
+        assert sv.diagnostics["iterations"][j] == fit.iterations
+        assert sv.diagnostics["converged"][j] == fit.converged

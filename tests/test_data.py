@@ -46,12 +46,31 @@ def test_non_binary_status(tmp_path):
         load_sample(p)
 
 
-def test_non_numeric_cell_names_column(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "time,status,x\n1,1,0\n2,0,abc\n")
+@pytest.mark.parametrize("column", ["x", "time"])
+@pytest.mark.parametrize("cell", ["abc", "", "nan", "inf"])
+def test_non_numeric_cell_names_column(tmp_path, column, cell):
+    row = {"time": "2", "status": "0", "x": "0", column: cell}
+    text = "time,status,x\n1,1,0\n" + ",".join(row.values()) + "\n3,1,0\n"
+    p = write_csv(tmp_path / "d.csv", text)
     with pytest.raises(NonNumericCell) as err:
         load_sample(p)
-    assert err.value.column == "x"
+    assert err.value.column == column
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize(
+    "body, kind, row",
+    [
+        ("1,1,nan\n2,0,abc\n", NonNumericCell, 2),  # a cell that does not parse comes first
+        ("1,2,0\n-1,0,inf\n", NonNumericCell, 2),  # then a non-finite cell
+        ("1,2,0\n-1,0,0\n", NonPositiveTime, 2),  # then a bad time, then a bad status
+    ],
+)
+def test_several_faults_report_in_precedence_order(tmp_path, body, kind, row):
+    p = write_csv(tmp_path / "d.csv", "time,status,x\n" + body)
+    with pytest.raises(kind) as err:
+        load_sample(p)
+    assert err.value.row == row
 
 
 def test_missing_cell_rejected(tmp_path):

@@ -8,7 +8,6 @@ from survscreen.ipcw import (
     censoring_km,
     correlation_vector,
     ipc_weights,
-    save_censoring_curve,
     weighted_covariances,
     weighted_mean,
     weighted_variance,
@@ -322,12 +321,3 @@ def test_km_matches_statsmodels_when_available():
             ref_v = ref.surv_prob[idx] if idx >= 0 else 1.0
             assert abs(v - ref_v) <= 1e-12
 
-
-def test_curve_export(tmp_path):
-    s = make_sample([1, 2, 3, 4], [1, 0, 1, 0])
-    curve = censoring_km(s)
-    out = tmp_path / "curve.csv"
-    save_censoring_curve(curve, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "jump_time,value"
-    assert len(lines) == 3

@@ -1,4 +1,4 @@
-"""Property tests of CARS scoring over censored and uncensored draws.
+"""Property tests of CARS (and Cox) scoring over censored and uncensored draws.
 
 Each example is drawn from a seed, so the data behind a failing example
 can be rebuilt with numpy alone.  Shapes cover both whitener routes: the
@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from survscreen import SurvivalSample, cars_score
+from survscreen import SurvivalSample, cars_score, cox_scores
 from survscreen.cars import scoring_weights
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -66,13 +66,14 @@ def test_cars_row_permutation_invariance(case):
     npt.assert_allclose(got.diagnostics["shrinkage"], want.diagnostics["shrinkage"], rtol=1e-9)
 
 
+@pytest.mark.parametrize("scorer", [cars_score, cox_scores], ids=lambda f: f.__name__)
 @PROPERTY
-@given(cases())
-def test_cars_column_permutation_equivariance(case):
+@given(case=cases())
+def test_column_permutation_equivariance(scorer, case):
     sample, rng = case
     perm = rng.permutation(sample.d)
-    got = cars_score(reorder(sample, cols=perm))
-    want = cars_score(sample)
+    got = scorer(reorder(sample, cols=perm))
+    want = scorer(sample)
     npt.assert_allclose(got.scores, want.scores[perm], rtol=1e-9, atol=1e-12)
 
 
