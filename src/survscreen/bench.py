@@ -115,6 +115,8 @@ def run_bench(
 
     ``nu`` and every grid point are checked before any job is issued, so a
     bad parameter raises instead of turning every row into an error row.
+    ``parallelism`` caps the worker processes; no more start than there
+    are jobs, and with one job or one worker no pool starts at all.
     """
     check_nu(nu)
     jobs = []
@@ -127,8 +129,9 @@ def run_bench(
         for rep in range(replicates):
             jobs.append((params, idx, rep, seed, nu, corr))
 
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_job, jobs))
     else:
         results = [_replicate_job(job) for job in jobs]

@@ -8,6 +8,7 @@ so that emitted CSVs reproduce the ingested values exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,10 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
     data rows (header excluded).  Of several faults the first row with a
     cell that does not parse is reported, else the first non-finite cell,
     else the first time <= 0, else the first status other than 0 or 1.
+
+    The data rows are parsed in one C pass (``_parsed_table``); a file that
+    pass cannot take as it stands is read row by row with ``csv``, which
+    alone decides what such a file holds and which error it gets.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -168,20 +173,22 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
             raise MissingColumn("no covariate columns besides the time and status columns")
         names = [header[i] for i in cov_idx]
 
-        rows = []
-        for r, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise NonNumericCell(r, "<row length>")
-            try:
-                rows.append([float(c) for c in rec])
-            except ValueError:
-                for cell, column in zip(rec, header):
-                    parse_cell(cell, r, column)
+        table = _parsed_table(path, reader.line_num, len(header))
+        if table is None:
+            rows = []
+            for r, rec in enumerate(reader, start=1):
+                if len(rec) != len(header):
+                    raise NonNumericCell(r, "<row length>")
+                try:
+                    rows.append([float(c) for c in rec])
+                except ValueError:
+                    for cell, column in zip(rec, header):
+                        parse_cell(cell, r, column)
+            table = np.array(rows)
+            del rows
 
-    if len(rows) < 2:
-        raise TooFewRows(f"need at least 2 data rows, got {len(rows)}")
-    table = np.array(rows)
-    del rows
+    if len(table) < 2:
+        raise TooFewRows(f"need at least 2 data rows, got {len(table)}")
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         raise NonNumericCell(int(bad[0, 0]) + 1, header[bad[0, 1]])
@@ -189,6 +196,42 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
     return SurvivalSample.from_times(
         table.take(t_idx, axis=1), table.take(s_idx, axis=1), table.take(cov_idx, axis=1), names
     )
+
+
+def _parsed_table(path, skip: int, width: int) -> np.ndarray | None:
+    """The data rows after the first ``skip`` lines as one n x width table.
+
+    ``np.loadtxt`` parses the cells in C with the correctly rounded
+    conversion of ``float``, and every cell it accepts ``float`` accepts
+    with the same value.  The file is read in universal-newline mode,
+    which splits lines where ``csv`` does.  None means the ``csv`` loop
+    must read the file: a blank line or a quote (which ``loadtxt`` would
+    skip or split differently), no data line at all, a cell ``loadtxt``
+    rejects, or rows that are not ``width`` cells wide.
+    """
+    plain = True
+
+    def lines(fh):
+        nonlocal plain
+        for line in itertools.islice(fh, skip, None):
+            if line.isspace() or '"' in line:
+                plain = False
+                return
+            yield line
+
+    with open(path) as fh:
+        data = lines(fh)
+        first = next(data, None)
+        if first is None:
+            return None
+        try:
+            table = np.loadtxt(
+                itertools.chain((first,), data),
+                delimiter=",", dtype=float, comments=None, quotechar=None, ndmin=2,
+            )
+        except ValueError:
+            return None
+    return table if plain and table.shape[1] == width else None
 
 
 def save_sample(sample: SurvivalSample, path) -> None:

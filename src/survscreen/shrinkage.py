@@ -8,10 +8,12 @@ summed squares (the Ledoit-Wolf-style plug-in of Schaefer & Strimmer).
 Every function takes R and lam from one set of rows: each row of positive
 weight w_i enters with share w_i / sum(w), and rows of weight 0 drop out.
 Without weights every row has weight 1, which is the plain sample
-estimator.  For d > n, with n the number of rows of positive weight, the
-inverse square root is never formed as a dense d x d eigenproblem; it is
-applied through the thin SVD of the n x d weighted standardized rows,
-which costs O(n^2 d).
+estimator.  The weighted standardized rows a (m x d, m the number of rows
+of positive weight) and one Gram matrix of them are formed once per
+whitener: a'a, the correlation matrix, when d <= m, and the m x m matrix
+aa' when d > m.  In the second case the inverse square root is never
+formed as a dense d x d eigenproblem; it is applied through the
+eigendecomposition of aa', which costs O(m^2 d).
 """
 
 from __future__ import annotations
@@ -51,10 +53,25 @@ def _weighted_rows(x: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarra
     return z, p
 
 
-def _gram_correlation(a: np.ndarray) -> np.ndarray:
-    """The correlation matrix a'a of ``_weighted_rows``, symmetric with unit diagonal."""
-    corr = a.T @ a
-    corr = (corr + corr.T) / 2
+@dataclass
+class _GramRows:
+    """``_weighted_rows`` of the covariates with their one Gram matrix:
+    a'a when d <= m, aa' when d > m, for a of shape m x d."""
+
+    a: np.ndarray
+    p: np.ndarray
+    gram: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray, weights: np.ndarray | None) -> _GramRows:
+        a, p = _weighted_rows(x, weights)
+        return cls(a, p, a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T)
+
+
+def _unit_diagonal(gram: np.ndarray) -> np.ndarray:
+    """The correlation matrix from the Gram a'a of ``_weighted_rows``: exactly
+    symmetric, with unit diagonal."""
+    corr = (gram + gram.T) / 2
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -65,10 +82,13 @@ def sample_correlations(covariates: np.ndarray) -> np.ndarray:
     Zero-variance columns get correlation 0 off the diagonal and 1 on it.
     This is the matrix the dense route of ``whitener_from_data`` shrinks.
     """
-    return _gram_correlation(_weighted_rows(covariates, None)[0])
+    a, _ = _weighted_rows(covariates, None)
+    return _unit_diagonal(a.T @ a)
 
 
-def shrinkage_lambda(covariates: np.ndarray, weights: np.ndarray | None = None) -> float:
+def shrinkage_lambda(
+    covariates: np.ndarray | _GramRows, weights: np.ndarray | None = None
+) -> float:
     """Data-driven shrinkage weight in [0, 1], Schaefer & Strimmer's weighted form.
 
     With shares p_i = w_i / sum(w) over the rows of positive weight, u the
@@ -89,17 +109,20 @@ def shrinkage_lambda(covariates: np.ndarray, weights: np.ndarray | None = None) 
     so the cost is O(m^2 d) when d > m rows carry weight and O(m d^2)
     otherwise; no d x d pair loop is run.  An all-zero denominator (no
     off-diagonal correlation at all) yields lam = 1 by convention.
+    ``whitener_from_data`` passes its prepared rows in place of the
+    covariates (and no weights), so they and their Gram are formed once.
     """
-    x = np.asarray(covariates, dtype=float)
-    if x.shape[1] < 2:
-        raise ValueError("shrinkage weight needs at least 2 covariates")
-    a, p = _weighted_rows(x, weights)
-    m, d = a.shape
+    rows = covariates
+    if not isinstance(rows, _GramRows):
+        x = np.asarray(covariates, dtype=float)
+        if x.shape[1] < 2:
+            raise ValueError("shrinkage weight needs at least 2 covariates")
+        rows = _GramRows.of(x, weights)
+    a, p = rows.a, rows.p
     sq = a**2
     v_sq_sum = float(((sq.sum(axis=1) ** 2 - (sq**2).sum(axis=1)) / p).sum())
     col_sq = sq.sum(axis=0)
-    gram = a.T @ a if d <= m else a @ a.T
-    cross_sq = float((gram * gram).sum() - (col_sq**2).sum())
+    cross_sq = float((rows.gram * rows.gram).sum() - (col_sq**2).sum())
     if cross_sq <= 0:
         return 1.0
     p_sq = float(p @ p)
@@ -192,39 +215,40 @@ def whitener_from_data(
 
     Returns (whitener, lam_used, min_eigenvalue).  The correlation matrix
     and the estimated lam are those of the weighted distribution over the
-    n rows of positive weight (every row, with weight 1, when ``weights``
-    is None).  For d <= n this goes through the dense correlation matrix;
-    for d > n only the thin SVD of the n x d weighted standardized rows is
+    m rows of positive weight (every row, with weight 1, when ``weights``
+    is None); both come from one ``_GramRows``.  For d <= m this goes
+    through the dense correlation matrix; for d > m only the
+    eigendecomposition aa' = U diag(mu) U' of the m x m Gram matrix is
     used, exploiting that the shrunk matrix is a scaled identity plus a
-    rank <= n - 1 update.
+    rank <= m - 1 update along the directions a'U mu^-1/2.
     """
     x = np.asarray(covariates, dtype=float)
     d = x.shape[1]
+    rows = None if lam == 1.0 else _GramRows.of(x, weights)
     if lam is None:
-        lam = shrinkage_lambda(x, weights) if d >= 2 else 0.0
+        lam = shrinkage_lambda(rows) if d >= 2 else 0.0
     if lam == 1.0:
         # exact identity whitening; avoids eigh round-off on I
         return InverseSqrtCorrelation(dim=d, matrix=np.eye(d)), 1.0, 1.0
 
-    a, _ = _weighted_rows(x, weights)
-    n = a.shape[0]
-    if d <= n:
-        return _dense_whitener(shrink(_gram_correlation(a), lam))
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    mu = s**2
-    keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)
+    m = rows.a.shape[0]
+    if d <= m:
+        return _dense_whitener(shrink(_unit_diagonal(rows.gram), lam))
     min_eig = lam  # rank-deficient: the orthogonal complement sits at lam
     if min_eig <= MIN_EIGENVALUE:
         raise SingularMatrix(
             f"shrinkage weight {lam:.3e} too small for a rank-deficient "
-            f"sample correlation (d={d} > n={n})"
+            f"sample correlation (d={d} > n={m})"
         )
+    mu, u = np.linalg.eigh(rows.gram)
+    keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)
+    mu = mu[keep]
     return (
         InverseSqrtCorrelation(
             dim=d,
             shrinkage=lam,
-            basis=vt[keep].T,
-            eigenvalues=mu[keep],
+            basis=(rows.a.T @ u[:, keep]) / np.sqrt(mu),
+            eigenvalues=mu,
         ),
         lam,
         min_eig,

@@ -85,6 +85,24 @@ def test_run_bench_deterministic_across_parallelism(tmp_path):
     assert s1.read_bytes() == s2.read_bytes()
 
 
+@pytest.mark.parametrize("parallelism, replicates, workers", [(4, 3, 3), (2, 3, 2), (8, 1, None)])
+def test_pool_has_at_most_one_worker_per_job(monkeypatch, parallelism, replicates, workers):
+    import survscreen.bench as bench_module
+
+    started = []
+    real_pool = bench_module.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(bench_module, "ProcessPoolExecutor", recording_pool)
+    scenarios, seed = parse_grid(GRID.splitlines())
+    report = run_bench(scenarios, seed, replicates=replicates, parallelism=parallelism)
+    assert started == ([] if workers is None else [workers])
+    assert len(report.rows) == 2 * replicates and not any(r.error for r in report.rows)
+
+
 def test_report_round_trip(tmp_path):
     scenarios, seed = parse_grid(GRID.splitlines())
     report = run_bench(scenarios, seed, replicates=2)

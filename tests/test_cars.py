@@ -245,8 +245,9 @@ def test_score_norm_tracks_explained_variance():
 
 
 def test_high_dimensional_path_matches_dense_pipeline():
-    # d > n routes the whitening through the thin SVD; same scores as the
-    # dense correlation-matrix route at a fixed shrinkage weight
+    # d > n routes the whitening through the n x n Gram matrix of the rows;
+    # same scores as the dense correlation-matrix route at a fixed shrinkage
+    # weight
     rng = np.random.default_rng(6)
     n, d = 40, 60
     beta = np.zeros(d)

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,3 +246,58 @@ def test_plotdata_malformed_report_exit_2(tmp_path, capsys, text, kind):
                  "--output", str(tmp_path / "plot.csv")])
     assert code == 2
     assert kind in capsys.readouterr().err
+
+
+def write_sample(path, times, events, x):
+    names = ",".join(f"x{j + 1}" for j in range(x.shape[1]))
+    rows = [f"{float(t)!r},{e}," + ",".join(repr(float(v)) for v in r)
+            for t, e, r in zip(times, events, x)]
+    path.write_text(f"time,status,{names}\n" + "\n".join(rows) + "\n")
+
+
+def edge_sample(case):
+    rng = np.random.default_rng(83)
+    if case == "d=1":
+        x = rng.standard_normal((30, 1))
+        events = (rng.uniform(size=30) > 0.3).astype(int)
+        return np.exp(x[:, 0] + rng.standard_normal(30)), events, x
+    if case == "n=3":
+        return np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), rng.standard_normal((3, 25))
+    if case == "n=3-censored":
+        return np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), rng.standard_normal((3, 25))
+    events = np.zeros(40, dtype=int)
+    events[5] = 1
+    return rng.lognormal(size=40), events, rng.standard_normal((40, 30))
+
+
+# (case, method) -> (score exit code, select exit code or None when score fails)
+EDGE_CASES = {
+    ("d=1", "cars"): (0, 2),  # select: TooFewScores
+    ("d=1", "cox"): (0, 2),
+    ("n=3", "cars"): (0, 0),
+    ("n=3", "cox"): (0, 0),
+    ("n=3-censored", "cars"): (2, None),  # TooFewRows: 2 rows of positive weight
+    ("n=3-censored", "cox"): (0, 0),
+    ("one-event", "cars"): (3, None),  # DegenerateOutcome
+    ("one-event", "cox"): (0, 0),
+}
+
+
+@pytest.mark.parametrize("case, method", EDGE_CASES, ids=lambda v: str(v))
+def test_cli_edge_cases_exit_cleanly(tmp_path, capsys, case, method):
+    sample, scores = tmp_path / "sample.csv", tmp_path / "scores.csv"
+    write_sample(sample, *edge_sample(case))
+    calls = [["score", "--input", str(sample), "--method", method, "--output", str(scores)],
+             ["select", "--scores", str(scores), "--alpha", "0.1",
+              "--output", str(tmp_path / "s.csv")]]
+    for argv, want in zip(calls, EDGE_CASES[case, method]):
+        if want is None:
+            break
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == want
+        assert caught == []
+        err = capsys.readouterr().err
+        if want != 0:
+            assert len(err.splitlines()) == 1 and err.startswith("survscreen: ")

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from survscreen import SurvivalSample, load_sample
+from survscreen import data
 from survscreen.data import covariate_summary, save_sample
 from survscreen.errors import (
     MissingColumn,
     NonBinaryStatus,
     NonNumericCell,
     NonPositiveTime,
+    SurvScreenError,
     TooFewRows,
 )
 
@@ -83,6 +87,84 @@ def test_too_few_rows(tmp_path):
     p = write_csv(tmp_path / "d.csv", "time,status,x\n1,1,0\n")
     with pytest.raises(TooFewRows):
         load_sample(p)
+
+
+HEAD = "time,status,x,y"
+ROWS = ["1.5,1,0.25,-1e-3", "2,0,3.5,7", "0.5,1,-2,1e300"]
+
+
+def lines(*rows, end="\n"):
+    return end.join((HEAD,) + rows) + end
+
+
+# each file is read once as it is and once by the csv loop alone
+LOADER_FILES = {
+    "lf": lines(*ROWS),
+    "lone-cr": lines(*ROWS, end="\r"),
+    "crlf": lines(*ROWS, end="\r\n"),
+    "mixed-endings": HEAD + "\r\n" + ROWS[0] + "\r" + ROWS[1] + "\n" + ROWS[2] + "\r\n",
+    "no-final-newline": lines(*ROWS)[:-1],
+    "quoted-cell": lines(ROWS[0], '2,0,"3.5",7', ROWS[2]),
+    "quoted-header-newline": '"time",status,"x\ny",y\n' + "\n".join(ROWS) + "\n",
+    "underscore": lines(ROWS[0], "2,0,0_1,7", ROWS[2]),
+    "space-padded": lines(ROWS[0], "2 ,0, 3.5 ,7", ROWS[2]),
+    "tab-padded": lines(ROWS[0], "2,0,\t3.5,7\t", ROWS[2]),
+    "empty-cell": lines(ROWS[0], "2,0,,7", ROWS[2]),
+    "nan": lines(ROWS[0], "2,0,nan,7", ROWS[2]),
+    "ragged": lines(ROWS[0], "2,0,3.5,7,8", ROWS[2]),
+    "short-row": lines(ROWS[0], "2,0,3.5", ROWS[2]),
+    "blank-mid": lines(ROWS[0], "", *ROWS[1:]),
+    "blank-end": lines(*ROWS) + "\n",
+    "whitespace-line": lines(ROWS[0], " \t", *ROWS[1:]),
+    "header-only": lines(),
+    "one-row": lines(ROWS[0]),
+    "hash": lines(ROWS[0], "2,0,#0.1,7", ROWS[2]),
+    "arabic-digit": lines(ROWS[0], "2,0,\u0661,7", ROWS[2]),
+    "fortran-exponent": lines(ROWS[0], "2,0,1d0,7", ROWS[2]),
+    "hex-float": lines(ROWS[0], "2,0,0x1p-3,7", ROWS[2]),
+    "status-2": lines(ROWS[0], "2,2,3.5,7", ROWS[2]),
+    "negative-time": lines(ROWS[0], "-2,0,3.5,7", ROWS[2]),
+}
+
+
+def load_outcome(path):
+    """The sample's arrays as bytes, or the error's kind, row and column."""
+    try:
+        s = load_sample(path)
+    except SurvScreenError as exc:
+        return type(exc).__name__, getattr(exc, "row", None), getattr(exc, "column", None)
+    arrays = (s.times, s.log_times, s.events, s.covariates)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], s.covariate_names
+
+
+#: the files the bulk parse takes; every other one goes to the csv loop
+BULK = {
+    "lf", "lone-cr", "crlf", "mixed-endings", "no-final-newline", "quoted-header-newline",
+    "space-padded", "tab-padded", "nan", "one-row", "status-2", "negative-time",
+}
+
+
+@pytest.mark.parametrize("name", LOADER_FILES)
+def test_loader_matches_the_csv_loop(tmp_path, monkeypatch, capfd, name):
+    path = tmp_path / "d.csv"
+    path.write_bytes(LOADER_FILES[name].encode())
+    bulk = data._parsed_table
+    taken = []
+
+    def spy(*args):
+        table = bulk(*args)
+        taken.append(table is not None)
+        return table
+
+    monkeypatch.setattr(data, "_parsed_table", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = load_outcome(path)
+    assert caught == []
+    assert capfd.readouterr().err == ""
+    assert taken == [name in BULK]
+    monkeypatch.setattr(data, "_parsed_table", lambda *args: None)
+    assert got == load_outcome(path)
 
 
 def test_round_trip_bit_identical(tmp_path):

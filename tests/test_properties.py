@@ -1,9 +1,10 @@
-"""Property tests of CARS (and Cox) scoring over censored and uncensored draws.
+"""Property tests of CARS (and Cox) scoring over censored and uncensored
+draws, and of FDR selection over score vectors.
 
 Each example is drawn from a seed, so the data behind a failing example
 can be rebuilt with numpy alone.  Shapes cover both whitener routes: the
 dense one when d is at most the number m of rows of positive weight, and
-the thin SVD when d > m.
+the thin one when d > m.
 """
 
 import numpy as np
@@ -14,8 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from survscreen import SurvivalSample, cars_score, cox_scores
+from survscreen import SurvivalSample, cars_score, cox_scores, select
 from survscreen.cars import scoring_weights
+from survscreen.fdr import MIN_SCORES
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -90,3 +92,34 @@ def test_uncensored_cars_matches_corrcoef_oracle(case, lam):
     w, v = np.linalg.eigh(lam * np.eye(d) + (1 - lam) * corr)
     oracle = np.sqrt((n - 1) / n) * (v * w**-0.5) @ v.T @ r
     npt.assert_allclose(cars_score(sample, lambda_override=lam).scores, oracle, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def score_vectors(draw):
+    """Half-normal null scores plus a few signals of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(MIN_SCORES, 400))
+    scores = rng.normal(0.0, draw(st.floats(0.01, 10.0)), size=d)
+    signals = rng.uniform(size=d) < draw(st.floats(0.0, 0.3))
+    k = signals.sum()
+    scores[signals] += rng.choice([-1.0, 1.0], size=k) * rng.uniform(2, 6, k) * scores.std()
+    return scores
+
+
+@PROPERTY
+@given(score_vectors(), st.floats(1e-3, 1e3), st.floats(0.01, 0.5))
+def test_selection_is_equivariant_in_the_score_scale(scores, c, alpha):
+    a, b = select(scores, alpha), select(c * scores, alpha)
+    # a q-value within round-off of alpha may fall either side of it
+    assume(np.abs(a.q_values - alpha).min() > 1e-9)
+    npt.assert_allclose(b.q_values, a.q_values, rtol=1e-9, atol=1e-12)
+    npt.assert_allclose(b.eta0, a.eta0, rtol=1e-9)
+    npt.assert_allclose(b.null_scale, c * a.null_scale, rtol=1e-9)
+    npt.assert_array_equal(b.selected, a.selected)
+
+
+@PROPERTY
+@given(score_vectors(), st.lists(st.floats(0.001, 0.999), min_size=2, max_size=5))
+def test_selections_are_nested_in_alpha(scores, alphas):
+    selected = [set(select(scores, alpha).selected.tolist()) for alpha in sorted(alphas)]
+    assert all(low <= high for low, high in zip(selected, selected[1:]))

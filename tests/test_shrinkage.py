@@ -268,7 +268,7 @@ def test_weighted_lambda_matches_pairwise_oracle():
 
 
 def test_weighted_whitener_inverts_weighted_correlation():
-    # both routes (dense when d <= rows of positive weight, thin SVD
+    # both routes (dense when d <= rows of positive weight, thin Gram
     # otherwise) give the inverse square root of lam I + (1 - lam) R_w;
     # each shape also runs with unit weights, given as ones and as None
     rng = np.random.default_rng(47)
@@ -318,3 +318,66 @@ def test_dense_whitener_takes_min_eigenvalue_from_its_one_eigh(weighted):
         white, lam, min_eig = whitener_from_data(x, 1.0, w)
         npt.assert_array_equal(white.matrix, np.eye(d))
         assert lam == 1.0 and min_eig == 1.0
+
+
+def thin_whitener_cases():
+    """(x, 0/1 weights or None, rank of the centred rows that carry weight), all with d > m."""
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((14, 40)) @ rng.standard_normal((40, 40)) / np.sqrt(40)
+    duplicated = x.copy()
+    duplicated[[5, 9, 11]] = duplicated[[0, 1, 0]]
+    constant = x.copy()
+    constant[:, 3] = 2.5
+    w = np.ones(14)
+    w[[2, 6, 7]] = 0.0
+    return {
+        "duplicated-rows": (duplicated, None, 14 - 3 - 1),
+        "constant-column": (constant, None, 14 - 1),
+        "zero-weight-rows": (x, w, 14 - 3 - 1),
+    }
+
+
+@pytest.mark.parametrize("case", ["duplicated-rows", "constant-column", "zero-weight-rows"])
+def test_thin_whitener_matches_dense_inverse_sqrt(case):
+    x, w, rank = thin_whitener_cases()[case]
+    white, lam, min_eig = whitener_from_data(x, None, w)
+    assert white.matrix is None and white.basis.shape[1] == rank
+    assert min_eig == lam
+    rows = x if w is None else x[w > 0]
+    dense = inverse_sqrt(shrink(sample_correlations(rows), lam)).matrix.copy()
+    # a constant column is an all-zero column of the rows: the dense route
+    # pins its diagonal entry to 1, the thin route leaves it at lam^-1/2;
+    # nothing else differs, and cars_score gives such a covariate score 0
+    constant = np.flatnonzero((rows == rows[0]).all(axis=0))
+    dense[constant, constant] = lam**-0.5
+    npt.assert_allclose(white.to_matrix(), dense, atol=1e-9)
+    probe = np.random.default_rng(67).standard_normal(x.shape[1])
+    npt.assert_allclose(white.apply(probe), dense @ probe, atol=1e-9)
+
+
+@pytest.mark.parametrize("n, d", [(40, 6), (25, 25), (14, 40)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_whitener_lambda_from_shared_gram_is_shrinkage_lambda(n, d, weighted):
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) / np.sqrt(d)
+    w = rng.uniform(0.2, 2.0, size=n) * (rng.uniform(size=n) > 0.2) if weighted else None
+    _, lam, _ = whitener_from_data(x, None, w)
+    assert lam == shrinkage_lambda(x, w)
+
+
+@pytest.mark.parametrize("d", [6, 40])
+def test_cars_score_standardizes_the_rows_once(monkeypatch, d):
+    from survscreen import SurvivalSample, cars_score
+    from survscreen import shrinkage
+
+    rng = np.random.default_rng(73)
+    n = 20
+    x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
+    events = (rng.uniform(size=n) > 0.3).astype(int)
+    sample = SurvivalSample.from_times(rng.lognormal(size=n), events, x)
+    calls = []
+    rows = shrinkage._weighted_rows
+    monkeypatch.setattr(shrinkage, "_weighted_rows", lambda *a: calls.append(1) or rows(*a))
+    scores = cars_score(sample)
+    assert 0 < scores.diagnostics["shrinkage"] < 1
+    assert len(calls) == 1
