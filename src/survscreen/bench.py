@@ -1,9 +1,9 @@
 """Scenario-grid benchmark runner comparing CARS and Cox screening.
 
 A grid file is a flat key=value config whose values may be comma-separated
-lists; the grid is the cartesian product of all listed values.  For every
-scenario x replicate the runner simulates a dataset, computes both score
-vectors and evaluates them against the ground truth.  Replicates draw from
+lists; the grid is the cartesian product of all listed values.  The runner
+builds every scenario once; for every replicate it draws a dataset,
+computes both score vectors and evaluates them against the ground truth.  Replicates draw from
 independent counter-based substreams, so reports are byte-identical across
 runs and across worker-pool sizes.
 
@@ -29,9 +29,9 @@ from .ipcw import check_nu
 from .metrics import pr_auc, rank_correlation
 from .simulate import (  # parse_grid is re-exported: grid files are read through this module
     SCENARIO_FIELDS,
+    Scenario,
     ScenarioConfig,
     build_block_design,
-    generate_dataset,
     nearest_correlation,
     parse_grid,
     parse_value,
@@ -71,20 +71,16 @@ def scenario_key(params: dict) -> str:
     return ";".join(f"{k}={_format_value(k, params[k])}" for k in SCENARIO_FIELDS)
 
 
-def _replicate_job(args) -> list[BenchRow]:
-    params, scenario_idx, replicate, seed, nu, corr = args
-    key = scenario_key(params)
-    config = ScenarioConfig(**params, seed=seed)
-    rng = replicate_rng(seed, scenario_idx, replicate)
+def _replicate_rows(scenario: Scenario, key: str, scenario_idx: int, replicate: int,
+                    seed: int, nu: float) -> list[BenchRow]:
+    """The CARS and Cox rows of one replicate of a built scenario."""
     try:
-        sample, truth = generate_dataset(config, projected_corr=corr, rng=rng)
+        sample = scenario.draw(replicate_rng(seed, scenario_idx, replicate))
     except SurvScreenError as exc:
-        return [
-            BenchRow(key, replicate, method, None, None, type(exc).__name__, 0.0)
-            for method in ("cars", "cox")
-        ]
+        return _error_rows(key, replicate, exc)
 
-    labels = np.zeros(config.d, dtype=int)
+    truth = scenario.truth
+    labels = np.zeros(scenario.config.d, dtype=int)
     labels[truth.influential_set] = 1
     rows = []
     for method, scorer in (("cars", lambda: cars_score(sample, nu=nu)),
@@ -104,6 +100,28 @@ def _replicate_job(args) -> list[BenchRow]:
     return rows
 
 
+def _error_rows(key: str, replicate: int, exc: SurvScreenError) -> list[BenchRow]:
+    return [
+        BenchRow(key, replicate, method, None, None, type(exc).__name__, 0.0)
+        for method in ("cars", "cox")
+    ]
+
+
+#: a pool worker's (scenarios, keys, seed, nu), sent once by the pool initializer
+_WORKER: tuple | None = None
+
+
+def _init_worker(scenarios: list[Scenario], keys: list[str], seed: int, nu: float) -> None:
+    global _WORKER
+    _WORKER = (scenarios, keys, seed, nu)
+
+
+def _pooled_job(job: tuple[int, int]) -> list[BenchRow]:
+    scenarios, keys, seed, nu = _WORKER
+    idx, replicate = job
+    return _replicate_rows(scenarios[idx], keys[idx], idx, replicate, seed, nu)
+
+
 def run_bench(
     scenarios: list[dict],
     seed: int,
@@ -115,28 +133,41 @@ def run_bench(
 
     ``nu`` and every grid point are checked before any job is issued, so a
     bad parameter raises instead of turning every row into an error row.
-    ``parallelism`` caps the worker processes; no more start than there
-    are jobs, and with one job or one worker no pool starts at all.
+    Each grid point is built once (``Scenario.build``); one that cannot be
+    built, for instance because its fraction rounds to no influential
+    covariate, gives every replicate two error rows.  A job is a
+    (scenario index, replicate) pair, and a pool gets the built scenarios
+    once per worker.  ``parallelism`` caps the worker processes; no more
+    start than there are jobs, and with one job or one worker no pool
+    starts at all.
     """
     check_nu(nu)
-    jobs = []
+    built, keys, jobs, rows = [], [], [], []
     scenario_map = {}
     for idx, params in enumerate(scenarios):
-        ScenarioConfig(**params, seed=seed)
+        config = ScenarioConfig(**params, seed=seed)
         design = build_block_design(params["d"], params["block_magnitudes"])
         corr = nearest_correlation(design).matrix
-        scenario_map[scenario_key(params)] = dict(params)
-        for rep in range(replicates):
-            jobs.append((params, idx, rep, seed, nu, corr))
+        key = scenario_key(params)
+        scenario_map[key] = dict(params)
+        keys.append(key)
+        try:
+            built.append(Scenario.build(config, corr))
+        except SurvScreenError as exc:
+            built.append(None)
+            rows += [row for rep in range(replicates) for row in _error_rows(key, rep, exc)]
+            continue
+        jobs += [(idx, rep) for rep in range(replicates)]
 
     workers = min(parallelism, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_job, jobs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(built, keys, seed, nu)) as pool:
+            results = list(pool.map(_pooled_job, jobs))
     else:
-        results = [_replicate_job(job) for job in jobs]
+        results = [_replicate_rows(built[i], keys[i], i, rep, seed, nu) for i, rep in jobs]
 
-    rows = [row for chunk in results for row in chunk]
+    rows += [row for chunk in results for row in chunk]
     rows.sort(key=lambda r: (r.scenario, r.replicate, r.method))
     return BenchReport(rows, scenario_map)
 

@@ -22,7 +22,7 @@ from .data import fmt_float, load_sample, parse_cell, save_sample
 from .errors import NumericalError, SurvScreenError, TooFewScores, ValidationError
 from .fdr import null_model_curve, select as fdr_select
 from .metrics import pr_auc, rank_correlation, selection_confusion
-from .simulate import generate_dataset, load_scenario_config
+from .simulate import Scenario, load_scenario_config, replicate_rng
 
 
 def _write_scores(sv: ScoreVector, names: list[str], path) -> None:
@@ -118,10 +118,12 @@ def _cmd_simulate(args) -> None:
     if args.seed is not None:
         config.seed = args.seed
     os.makedirs(args.output_dir, exist_ok=True)
+    scenario = Scenario.build(config)
+    truth = scenario.truth
+    influential = set(truth.influential_set.tolist())
     for rep in range(args.replicates):
-        sample, truth = generate_dataset(config, replicate_id=rep)
+        sample = scenario.draw(replicate_rng(config.seed, rep))
         save_sample(sample, os.path.join(args.output_dir, f"data_{rep}.csv"))
-        influential = set(truth.influential_set.tolist())
         with open(os.path.join(args.output_dir, f"truth_{rep}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["name", "beta", "influential"])

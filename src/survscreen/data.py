@@ -176,14 +176,18 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
         table = _parsed_table(path, reader.line_num, len(header))
         if table is None:
             rows = []
-            for r, rec in enumerate(reader, start=1):
-                if len(rec) != len(header):
-                    raise NonNumericCell(r, "<row length>")
-                try:
-                    rows.append([float(c) for c in rec])
-                except ValueError:
-                    for cell, column in zip(rec, header):
-                        parse_cell(cell, r, column)
+            r = 0
+            try:
+                for r, rec in enumerate(reader, start=1):
+                    if len(rec) != len(header):
+                        raise NonNumericCell(r, "<row length>")
+                    try:
+                        rows.append([float(c) for c in rec])
+                    except ValueError:
+                        for cell, column in zip(rec, header):
+                            parse_cell(cell, r, column)
+            except csv.Error as exc:  # a row csv cannot split, such as an over-long cell
+                raise NonNumericCell(r + 1, f"<{exc}>") from None
             table = np.array(rows)
             del rows
 

@@ -91,6 +91,10 @@ class ZeroSignal(NumericalError):
     pass
 
 
+class TimeOverflow(NumericalError):
+    """A simulated time underflows to 0 or overflows on the raw scale."""
+
+
 # --- warnings ---------------------------------------------------------------
 
 class DegenerateRanksWarning(UserWarning):

@@ -146,6 +146,9 @@ class InverseSqrtCorrelation:
     positive weight, as the low-rank factorisation
     lam^-1/2 * I + V (f(mu) - lam^-1/2) V' where V spans the nonzero
     sample-correlation eigendirections and f(mu) = (lam + (1 - lam) mu)^-1/2.
+    A column that is constant over those rows (a zero row of V) has
+    correlation 0 with every other column and 1 with itself, so its row and
+    column of the inverse square root are those of the identity.
     """
 
     dim: int
@@ -153,6 +156,7 @@ class InverseSqrtCorrelation:
     shrinkage: float | None = None
     basis: np.ndarray | None = None
     eigenvalues: np.ndarray | None = None
+    constant: np.ndarray | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the inverse square root."""
@@ -163,7 +167,9 @@ class InverseSqrtCorrelation:
         background = lam**-0.5
         f = (lam + (1.0 - lam) * self.eigenvalues) ** -0.5
         proj = self.basis.T @ vec
-        return background * vec + self.basis @ ((f - background) * proj)
+        out = background * vec + self.basis @ ((f - background) * proj)
+        out[self.constant] = vec[self.constant]
+        return out
 
     def to_matrix(self) -> np.ndarray:
         if self.matrix is not None:
@@ -173,6 +179,7 @@ class InverseSqrtCorrelation:
         f = (lam + (1.0 - lam) * self.eigenvalues) ** -0.5
         m = (self.basis * (f - background)) @ self.basis.T
         m[np.diag_indices(self.dim)] += background
+        m[self.constant, self.constant] = 1.0
         return m
 
 
@@ -249,6 +256,7 @@ def whitener_from_data(
             shrinkage=lam,
             basis=(rows.a.T @ u[:, keep]) / np.sqrt(mu),
             eigenvalues=mu,
+            constant=~rows.a.any(axis=0),
         ),
         lam,
         min_eig,

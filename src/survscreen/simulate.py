@@ -8,6 +8,12 @@ onto the correlation-matrix set by alternating projections with Dykstra
 correction before sampling.  Noise and censoring parameters are calibrated
 analytically so the requested explained variance and censoring rate hold
 exactly at the population level.
+
+Everything but the draws depends on the scenario alone, so a ``Scenario``
+is built once (projection, eigen-factor, coefficients, calibration and
+population scores) and ``Scenario.draw`` makes a replicate from one block
+of standard normals, one matmul and the noise and censoring draws.
+``generate_dataset`` is a one-replicate ``Scenario``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import SurvivalSample
-from .errors import BadDimension, BadFraction, BadValue, UnknownField, ZeroSignal
+from .errors import BadDimension, BadFraction, BadValue, TimeOverflow, UnknownField, ZeroSignal
 
 DEFAULT_MAGNITUDES = (0.25, 0.5, 0.75)
 
@@ -160,11 +166,15 @@ def nearest_correlation(
     return NearestCorrelationResult(m, iterations, converged)
 
 
-def sample_covariates(corr: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. rows from N(0, corr) via a symmetric eigen-factorization."""
+def covariate_factor(corr: np.ndarray) -> np.ndarray:
+    """Symmetric eigen-factor F of corr, with F F' = corr up to round-off."""
     w, v = np.linalg.eigh(corr)
-    factor = v * np.sqrt(np.maximum(w, 0.0))
-    z = rng.standard_normal((n, corr.shape[0]))
+    return v * np.sqrt(np.maximum(w, 0.0))
+
+
+def sample_covariates(factor: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. rows from N(0, F F') for the factor F of ``covariate_factor``."""
+    z = rng.standard_normal((n, factor.shape[0]))
     return z @ factor.T
 
 
@@ -220,54 +230,93 @@ def population_scores(beta: np.ndarray, corr: np.ndarray, sigma_log: float) -> n
     return root @ beta / s
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """The replicate-independent parts of a scenario, built once.
+
+    ``build`` projects the block design (unless ``projected_corr`` is given),
+    factors it, places the coefficients and calibrates the noise and
+    censoring; ``draw`` then does only a replicate's own work.
+    """
+
+    config: ScenarioConfig
+    corr: np.ndarray
+    factor: np.ndarray
+    truth: GroundTruth
+    mu_c: float
+    sigma_c: float
+
+    @classmethod
+    def build(cls, config: ScenarioConfig, projected_corr: np.ndarray | None = None) -> Scenario:
+        """``projected_corr`` skips the projection when callers already hold it."""
+        if projected_corr is None:
+            design = build_block_design(config.d, config.block_magnitudes)
+            projected_corr = nearest_correlation(design).matrix
+        beta, influential = make_beta(
+            config.d, config.influential_fraction, config.influential_block
+        )
+        sigma = calibrate_noise(beta, projected_corr, config.explained_variance)
+        signal = float(beta @ projected_corr @ beta)
+        truth = GroundTruth(
+            beta=beta,
+            influential_set=influential,
+            population_theta=population_scores(beta, projected_corr, sigma),
+            sigma_log=sigma,
+        )
+        return cls(
+            config=config,
+            corr=projected_corr,
+            factor=covariate_factor(projected_corr),
+            truth=truth,
+            mu_c=calibrate_censoring(signal, sigma, config.censoring_rate),
+            sigma_c=math.sqrt(signal + sigma**2),
+        )
+
+    def draw(self, rng: np.random.Generator) -> SurvivalSample:
+        """One replicate: covariates, then survival noise, then censoring.
+
+        Times above their empirical ``cutoff_quantile`` are set to that
+        quantile and marked censored; ``cutoff_quantile=1.0`` disables the
+        cutoff.  A time that leaves the float range on the raw scale
+        (sd(log T) in the hundreds) raises TimeOverflow.
+        """
+        config, beta = self.config, self.truth.beta
+        x = sample_covariates(self.factor, config.n, rng)
+        log_t = x @ beta + self.truth.sigma_log * rng.standard_normal(config.n)
+        log_c = self.mu_c + self.sigma_c * rng.standard_normal(config.n)
+        with np.errstate(over="ignore"):
+            observed = np.exp(np.minimum(log_t, log_c))
+        out = ~(np.isfinite(observed) & (observed > 0))
+        if out.any():
+            raise TimeOverflow(
+                f"{int(out.sum())} of {config.n} simulated times are 0 or infinite on the "
+                f"raw scale: sd(log T) = {self.sigma_c:.4g}"
+            )
+        delta = (log_t <= log_c).astype(np.int64)
+
+        if config.cutoff_quantile < 1.0:
+            cutoff = float(np.quantile(observed, config.cutoff_quantile))
+            over = observed > cutoff
+            observed[over] = cutoff
+            delta[over] = 0
+        return SurvivalSample.from_times(observed, delta, x)
+
+
 def generate_dataset(
     config: ScenarioConfig,
     replicate_id: int = 0,
     projected_corr: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[SurvivalSample, GroundTruth]:
-    """One simulated dataset plus its ground truth.
+    """One simulated dataset plus its ground truth: ``Scenario.build(...).draw(rng)``.
 
-    ``projected_corr`` lets callers share the (deterministic) nearest
-    correlation matrix across replicates of the same scenario; ``rng``
-    overrides the default (seed, replicate_id) substream.  Times above
-    their empirical ``cutoff_quantile`` are set to that quantile and marked
-    censored; ``cutoff_quantile=1.0`` disables the cutoff.
+    ``rng`` overrides the default (seed, replicate_id) substream.  Callers
+    that draw many replicates of one scenario should build it once.
     """
-    if projected_corr is None:
-        design = build_block_design(config.d, config.block_magnitudes)
-        projected_corr = nearest_correlation(design).matrix
     if rng is None:
         rng = replicate_rng(config.seed, replicate_id)
-
-    x = sample_covariates(projected_corr, config.n, rng)
-    beta, influential = make_beta(
-        config.d, config.influential_fraction, config.influential_block
-    )
-    sigma = calibrate_noise(beta, projected_corr, config.explained_variance)
-    signal = float(beta @ projected_corr @ beta)
-    mu_c = calibrate_censoring(signal, sigma, config.censoring_rate)
-    sigma_c = math.sqrt(signal + sigma**2)
-
-    log_t = x @ beta + sigma * rng.standard_normal(config.n)
-    log_c = mu_c + sigma_c * rng.standard_normal(config.n)
-    observed = np.exp(np.minimum(log_t, log_c))
-    delta = (log_t <= log_c).astype(np.int64)
-
-    if config.cutoff_quantile < 1.0:
-        cutoff = float(np.quantile(observed, config.cutoff_quantile))
-        over = observed > cutoff
-        observed[over] = cutoff
-        delta[over] = 0
-
-    sample = SurvivalSample.from_times(observed, delta, x)
-    truth = GroundTruth(
-        beta=beta,
-        influential_set=influential,
-        population_theta=population_scores(beta, projected_corr, sigma),
-        sigma_log=sigma,
-    )
-    return sample, truth
+    scenario = Scenario.build(config, projected_corr)
+    return scenario.draw(rng), scenario.truth
 
 
 # --- flat key=value config files --------------------------------------------

@@ -92,9 +92,9 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch, parallelism, replicate
     started = []
     real_pool = bench_module.ProcessPoolExecutor
 
-    def recording_pool(max_workers):
+    def recording_pool(max_workers, **kwargs):
         started.append(max_workers)
-        return real_pool(max_workers=max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(bench_module, "ProcessPoolExecutor", recording_pool)
     scenarios, seed = parse_grid(GRID.splitlines())
@@ -205,3 +205,34 @@ def test_bad_nu_raises_before_any_job():
     # BadValue is also a ValueError for callers that catch that
     with pytest.raises(ValueError):
         run_bench(scenarios, seed, replicates=1, nu=0.0)
+
+
+BAD_FRACTION_GRID = """
+n = 60
+d = 150
+influential_fraction = 0.001, 0.1
+influential_block = 3
+explained_variance = 0.75
+censoring_rate = 0.25
+seed = 3
+"""
+
+
+def test_scenario_build_errors_become_error_rows(tmp_path):
+    # 0.001 * 150 rounds to no influential covariate: make_beta's BadFraction
+    # turns each replicate of that grid point into two error rows
+    scenarios, seed = parse_grid(BAD_FRACTION_GRID.splitlines())
+    bad, good = (scenario_key(s) for s in scenarios)
+    paths = []
+    for parallelism in (1, 2):
+        report = run_bench(scenarios, seed, replicates=2, parallelism=parallelism)
+        assert [(r.scenario, r.replicate, r.method, r.pr_auc, r.rank_correlation, r.error,
+                 r.wall_time) for r in report.rows if r.scenario == bad] == [
+            (bad, rep, method, None, None, "BadFraction", 0.0)
+            for rep in (0, 1) for method in ("cars", "cox")
+        ]
+        good_rows = [r for r in report.rows if r.scenario == good]
+        assert len(good_rows) == 4 and not any(r.error for r in good_rows)
+        paths.append(tmp_path / f"report{parallelism}.csv")
+        write_report(report, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -155,6 +155,36 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (b / "data_0.csv").read_bytes() == (c / "data_0.csv").read_bytes()
 
 
+def test_simulate_files_match_per_replicate_generate_dataset(sim_dir, tmp_path):
+    from survscreen.data import save_sample, fmt_float
+    from survscreen.simulate import generate_dataset, load_scenario_config
+
+    cfg = tmp_path / "scenario.cfg"
+    config = load_scenario_config(cfg)
+    for rep in (0, 1):
+        sample, truth = generate_dataset(config, replicate_id=rep)
+        save_sample(sample, tmp_path / "want.csv")
+        assert (sim_dir / f"data_{rep}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        influential = set(truth.influential_set.tolist())
+        want = "name,beta,influential\r\n" + "".join(
+            f"x{j + 1},{fmt_float(b)},{int(j in influential)}\r\n" for j, b in enumerate(truth.beta)
+        )
+        assert (sim_dir / f"truth_{rep}.csv").read_bytes() == want.encode()
+
+
+def test_simulate_time_overflow_exit_3(tmp_path, capsys):
+    # explained variance 1e-6 puts sd(log T) in the thousands
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SCENARIO.replace("explained_variance = 0.75", "explained_variance = 0.000001"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("survscreen: TimeOverflow: ") and "sd(log T)" in err
+
+
 SCENARIO_KEYS = SCENARIO.replace("seed = 9\n", "")
 
 
@@ -185,6 +215,20 @@ def test_score_without_covariates_exit_2(tmp_path, capsys, method):
     code = main(["score", "--input", str(bad), "--method", method, "--output", str(out)])
     assert code == 2
     assert "MissingColumn" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["cars", "cox"])
+def test_score_cell_over_csv_field_limit_exit_2(tmp_path, capsys, method):
+    # over csv's 131072-character field limit: the csv fallback cannot split the row
+    bad = tmp_path / "bad.csv"
+    bad.write_text("time,status,x\n1,1,0.5\n2,0," + "a" * 140_000 + "\n3,1,0.25\n")
+    out = tmp_path / "o.csv"
+    code = main(["score", "--input", str(bad), "--method", method, "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("survscreen: NonNumericCell: non-numeric cell in data row 2")
     assert not out.exists()
 
 

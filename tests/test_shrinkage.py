@@ -344,12 +344,10 @@ def test_thin_whitener_matches_dense_inverse_sqrt(case):
     assert white.matrix is None and white.basis.shape[1] == rank
     assert min_eig == lam
     rows = x if w is None else x[w > 0]
-    dense = inverse_sqrt(shrink(sample_correlations(rows), lam)).matrix.copy()
-    # a constant column is an all-zero column of the rows: the dense route
-    # pins its diagonal entry to 1, the thin route leaves it at lam^-1/2;
-    # nothing else differs, and cars_score gives such a covariate score 0
+    dense = inverse_sqrt(shrink(sample_correlations(rows), lam)).matrix
+    # a constant column keeps the identity's row and column on both routes
     constant = np.flatnonzero((rows == rows[0]).all(axis=0))
-    dense[constant, constant] = lam**-0.5
+    npt.assert_array_equal(white.to_matrix()[constant, constant], 1.0)
     npt.assert_allclose(white.to_matrix(), dense, atol=1e-9)
     probe = np.random.default_rng(67).standard_normal(x.shape[1])
     npt.assert_allclose(white.apply(probe), dense @ probe, atol=1e-9)

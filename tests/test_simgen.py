@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from survscreen import ScenarioConfig, generate_dataset
+from survscreen import ScenarioConfig, SurvivalSample, generate_dataset
 from survscreen.simulate import (
+    GroundTruth,
+    Scenario,
     build_block_design,
     calibrate_censoring,
     calibrate_noise,
+    covariate_factor,
     make_beta,
     nearest_correlation,
     population_scores,
@@ -15,7 +20,7 @@ from survscreen.simulate import (
     replicate_rng,
     sample_covariates,
 )
-from survscreen.errors import BadDimension, BadFraction, ZeroSignal
+from survscreen.errors import BadDimension, BadFraction, NumericalError, TimeOverflow, ZeroSignal
 
 
 def dykstra_oracle(a, iters=10_000, tol=1e-12):
@@ -194,7 +199,7 @@ def test_sample_covariates_moments():
     rng = replicate_rng(42, 0)
     corr = np.eye(3)
     corr[0, 1] = corr[1, 0] = 0.75
-    x = sample_covariates(corr, 50_000, rng)
+    x = sample_covariates(covariate_factor(corr), 50_000, rng)
     assert np.all(np.abs(x.mean(axis=0)) <= 0.02)
     emp = np.corrcoef(x.T)
     assert abs(emp[0, 1] - 0.75) <= 0.02
@@ -203,8 +208,8 @@ def test_sample_covariates_moments():
 
 def test_sample_covariates_deterministic():
     corr = np.eye(4)
-    a = sample_covariates(corr, 100, replicate_rng(7, 3))
-    b = sample_covariates(corr, 100, replicate_rng(7, 3))
+    a = sample_covariates(covariate_factor(corr), 100, replicate_rng(7, 3))
+    b = sample_covariates(covariate_factor(corr), 100, replicate_rng(7, 3))
     npt.assert_array_equal(a, b)
 
 
@@ -308,3 +313,66 @@ def test_scenario_config_is_a_one_point_grid(tmp_path):
     (params,), seed = parse_grid(text.splitlines())
     assert load_scenario_config(p) == ScenarioConfig(**params, seed=seed)
     assert load_scenario_config(p).cutoff_quantile == ScenarioConfig.cutoff_quantile
+
+
+def per_replicate_oracle(config, corr, rng):
+    """The sampling path written out for one replicate, with nothing shared:
+    a fresh eigen-factor and a fresh calibration for every draw."""
+    w, v = np.linalg.eigh(corr)
+    factor = v * np.sqrt(np.maximum(w, 0.0))
+    x = rng.standard_normal((config.n, corr.shape[0])) @ factor.T
+    beta, influential = make_beta(config.d, config.influential_fraction, config.influential_block)
+    sigma = calibrate_noise(beta, corr, config.explained_variance)
+    signal = float(beta @ corr @ beta)
+    mu_c = calibrate_censoring(signal, sigma, config.censoring_rate)
+    sigma_c = math.sqrt(signal + sigma**2)
+    log_t = x @ beta + sigma * rng.standard_normal(config.n)
+    log_c = mu_c + sigma_c * rng.standard_normal(config.n)
+    observed = np.exp(np.minimum(log_t, log_c))
+    delta = (log_t <= log_c).astype(np.int64)
+    if config.cutoff_quantile < 1.0:
+        cutoff = float(np.quantile(observed, config.cutoff_quantile))
+        over = observed > cutoff
+        observed[over] = cutoff
+        delta[over] = 0
+    w, v = np.linalg.eigh(corr)
+    theta = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T @ beta / sigma_c
+    return SurvivalSample.from_times(observed, delta, x), beta, influential, theta, sigma
+
+
+@pytest.mark.parametrize("cutoff_quantile", [0.9, 1.0])
+@pytest.mark.parametrize("seed", [0, 11, 2**31 + 5])
+def test_scenario_draws_match_per_replicate_oracle_bitwise(seed, cutoff_quantile):
+    config = scenario(seed=seed, cutoff_quantile=cutoff_quantile, influential_fraction=0.2)
+    corr = nearest_correlation(build_block_design(config.d, config.block_magnitudes)).matrix
+    built = Scenario.build(config, corr)
+    for scenario_idx, rep in [(0, 0), (0, 1), (2, 7), (5, 1000)]:
+        sample = built.draw(replicate_rng(seed, scenario_idx, rep))
+        want, beta, influential, theta, sigma = per_replicate_oracle(
+            config, corr, replicate_rng(seed, scenario_idx, rep))
+        for field in ("times", "log_times", "events", "covariates"):
+            npt.assert_array_equal(getattr(sample, field), getattr(want, field))
+        assert sample.events.dtype == want.events.dtype
+    npt.assert_array_equal(built.truth.beta, beta)
+    npt.assert_array_equal(built.truth.influential_set, influential)
+    npt.assert_array_equal(built.truth.population_theta, theta)
+    assert built.truth.sigma_log == sigma
+    # generate_dataset projects the design itself and draws from (seed, replicate_id)
+    sample, truth = generate_dataset(config, replicate_id=3)
+    want = per_replicate_oracle(config, corr, replicate_rng(seed, 3))[0]
+    for field in ("times", "events", "covariates"):
+        npt.assert_array_equal(getattr(sample, field), getattr(want, field))
+    npt.assert_array_equal(truth.population_theta, theta)
+
+
+def test_raw_time_overflow_is_a_numerical_error():
+    # sd(log T) = 300: exp(min(log T, log C)) underflows to 0 or overflows
+    config = scenario(n=200, d=6)
+    beta = np.zeros(6)
+    beta[5] = 1.0
+    truth = GroundTruth(beta, np.array([5]), beta.copy(), 300.0)
+    huge = Scenario(config, np.eye(6), np.eye(6), truth, mu_c=0.0, sigma_c=300.0)
+    with pytest.raises(TimeOverflow, match=r"sd\(log T\) = 300") as err:
+        huge.draw(replicate_rng(1, 0))
+    assert isinstance(err.value, NumericalError)
+    assert "\n" not in str(err.value)
