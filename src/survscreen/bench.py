@@ -14,7 +14,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,16 +22,14 @@ import numpy as np
 
 from .cars import cars_score
 from .cox import cox_scores
-from .data import fmt_float, parse_cell
-from .errors import MissingColumn, SurvScreenError, UnknownField
+from .data import fmt_float, parse_cell, read_table, write_table
+from .errors import SurvScreenError, UnknownField
 from .ipcw import check_nu
 from .metrics import pr_auc, rank_correlation
 from .simulate import (  # parse_grid is re-exported: grid files are read through this module
     SCENARIO_FIELDS,
     Scenario,
     ScenarioConfig,
-    build_block_design,
-    nearest_correlation,
     parse_grid,
     parse_value,
     replicate_rng,
@@ -146,13 +143,11 @@ def run_bench(
     scenario_map = {}
     for idx, params in enumerate(scenarios):
         config = ScenarioConfig(**params, seed=seed)
-        design = build_block_design(params["d"], params["block_magnitudes"])
-        corr = nearest_correlation(design).matrix
         key = scenario_key(params)
         scenario_map[key] = dict(params)
         keys.append(key)
         try:
-            built.append(Scenario.build(config, corr))
+            built.append(Scenario.build(config))
         except SurvScreenError as exc:
             built.append(None)
             rows += [row for rep in range(replicates) for row in _error_rows(key, rep, exc)]
@@ -173,20 +168,12 @@ def run_bench(
 
 
 def write_report(report: BenchReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.scenario,
-                    r.replicate,
-                    r.method,
-                    "" if r.pr_auc is None else fmt_float(r.pr_auc),
-                    "" if r.rank_correlation is None else fmt_float(r.rank_correlation),
-                    r.error,
-                ]
-            )
+    write_table(
+        path,
+        REPORT_HEADER,
+        ([r.scenario, r.replicate, r.method, r.pr_auc, r.rank_correlation, r.error]
+         for r in report.rows),
+    )
 
 
 def _quartiles(rows: list[BenchRow], key) -> list[tuple]:
@@ -212,48 +199,44 @@ def _quartiles(rows: list[BenchRow], key) -> list[tuple]:
 
 def write_summary(report: BenchReport, path) -> None:
     """Quartiles per (scenario, method, metric)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "method", "metric", "q1", "median", "q3", "count"])
-        for scenario, method, metric, *q, count in _quartiles(report.rows, lambda r: r.scenario):
-            writer.writerow([scenario, method, metric, *(fmt_float(v) for v in q), count])
+    write_table(
+        path,
+        ["scenario", "method", "metric", "q1", "median", "q3", "count"],
+        _quartiles(report.rows, lambda r: r.scenario),
+    )
 
 
 def write_timings(report: BenchReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "replicate", "method", "wall_time_seconds"])
-        for r in report.rows:
-            writer.writerow([r.scenario, r.replicate, r.method, fmt_float(r.wall_time)])
+    write_table(
+        path,
+        ["scenario", "replicate", "method", "wall_time_seconds"],
+        ([r.scenario, r.replicate, r.method, r.wall_time] for r in report.rows),
+    )
 
 
 def read_report(path) -> BenchReport:
     """Load a report CSV back; scenario params are parsed from the key."""
     rows = []
     scenarios: dict[str, dict] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(REPORT_HEADER) <= set(reader.fieldnames):
-            raise MissingColumn(f"{path}: expected the columns {','.join(REPORT_HEADER)}")
-        for i, rec in enumerate(reader, start=1):
-            key = rec["scenario"] or ""
-            if key not in scenarios:
-                params = {
-                    k: parse_value(k, v) for k, _, v in (p.partition("=") for p in key.split(";"))
-                }
-                if list(params) != list(SCENARIO_FIELDS):
-                    raise UnknownField(f"row {i}: scenario key does not list {','.join(SCENARIO_FIELDS)}")
-                scenarios[key] = params
-            rows.append(
-                BenchRow(
-                    key,
-                    parse_cell(rec["replicate"], i, "replicate", int),
-                    rec["method"],
-                    *(parse_cell(rec[m], i, m) if rec[m] else None for m in METRICS),
-                    rec["error"],
-                    0.0,
-                )
+    for i, rec in read_table(path, REPORT_HEADER):
+        key = rec["scenario"] or ""
+        if key not in scenarios:
+            params = {
+                k: parse_value(k, v) for k, _, v in (p.partition("=") for p in key.split(";"))
+            }
+            if list(params) != list(SCENARIO_FIELDS):
+                raise UnknownField(f"row {i}: scenario key does not list {','.join(SCENARIO_FIELDS)}")
+            scenarios[key] = params
+        rows.append(
+            BenchRow(
+                key,
+                parse_cell(rec["replicate"], i, "replicate", int),
+                rec["method"],
+                *(parse_cell(rec[m], i, m) if rec[m] else None for m in METRICS),
+                rec["error"],
+                0.0,
             )
+        )
     return BenchReport(rows, scenarios)
 
 
@@ -277,18 +260,4 @@ def emit_plotdata(report: BenchReport, group_by: list[str]) -> list[dict]:
 
 def write_plotdata(rows: list[dict], group_by: list[str], path) -> None:
     header = list(group_by) + ["method", "metric", "q1", "median", "q3", "count"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [row[f] for f in group_by]
-                + [
-                    row["method"],
-                    row["metric"],
-                    fmt_float(row["q1"]),
-                    fmt_float(row["median"]),
-                    fmt_float(row["q3"]),
-                    row["count"],
-                ]
-            )
+    write_table(path, header, ([row[f] for f in header] for row in rows))

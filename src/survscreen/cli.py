@@ -9,7 +9,6 @@ validation error, 3 numerical failure; error lines on stderr have the form
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import bench as bench_mod
 from .cars import DEFAULT_NU, ScoreVector, cars_score, rank_by_magnitude
 from .cox import cox_scores
-from .data import fmt_float, load_sample, parse_cell, save_sample
+from .data import fmt_float, load_sample, parse_cell, read_table, save_sample, write_table
 from .errors import NumericalError, SurvScreenError, TooFewScores, ValidationError
 from .fdr import null_model_curve, select as fdr_select
 from .metrics import pr_auc, rank_correlation, selection_confusion
@@ -29,37 +28,26 @@ def _write_scores(sv: ScoreVector, names: list[str], path) -> None:
     order = rank_by_magnitude(sv)
     ranks = np.empty(len(names), dtype=int)
     ranks[order] = np.arange(1, len(names) + 1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "score", "rank"])
-        for j, name in enumerate(names):
-            writer.writerow([name, fmt_float(sv.scores[j]), int(ranks[j])])
+    write_table(path, ["name", "score", "rank"], zip(names, sv.scores, ranks.tolist()))
 
 
-def _read_scores(path) -> tuple[list[str], np.ndarray]:
-    names, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "name" not in reader.fieldnames \
-                or "score" not in reader.fieldnames:
-            raise ValidationError(f"{path}: expected a CSV with name,score columns")
-        for i, rec in enumerate(reader, start=1):
-            names.append(rec["name"])
-            values.append(parse_cell(rec["score"], i, "score"))
-    return names, np.asarray(values)
+def _read_scores(path) -> tuple[list[str], np.ndarray, list[int]]:
+    """Names, scores and the ``selected`` flags (empty without that column)."""
+    names, values, flags = [], [], []
+    for i, rec in read_table(path, ("name", "score")):
+        names.append(rec["name"])
+        values.append(parse_cell(rec["score"], i, "score"))
+        if "selected" in rec:
+            flags.append(parse_cell(rec["selected"], i, "selected", int))
+    return names, np.asarray(values), flags
 
 
 def _read_truth(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     names, beta, influential = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"name", "beta", "influential"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValidationError(f"{path}: expected name,beta,influential columns")
-        for i, rec in enumerate(reader, start=1):
-            names.append(rec["name"])
-            beta.append(parse_cell(rec["beta"], i, "beta"))
-            influential.append(parse_cell(rec["influential"], i, "influential", int))
+    for i, rec in read_table(path, ("name", "beta", "influential")):
+        names.append(rec["name"])
+        beta.append(parse_cell(rec["beta"], i, "beta"))
+        influential.append(parse_cell(rec["influential"], i, "influential", int))
     return names, np.asarray(beta), np.asarray(influential, dtype=int)
 
 
@@ -80,30 +68,20 @@ def _cmd_score(args) -> None:
 
 
 def _cmd_select(args) -> None:
-    names, values = _read_scores(args.scores)
+    names, values, _ = _read_scores(args.scores)
     result = fdr_select(values, args.alpha)
     if args.diagnostics:
         curve = null_model_curve(values, result.eta0, result.null_scale)
-        with open(args.diagnostics, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            keys = list(curve)
-            writer.writerow(keys)
-            for i in range(len(curve["magnitude"])):
-                writer.writerow([fmt_float(curve[k][i]) for k in keys])
+        write_table(args.diagnostics, list(curve), zip(*curve.values()))
     chosen = set(result.selected.tolist())
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "score", "q_value", "local_fdr", "selected"])
-        for j, name in enumerate(names):
-            writer.writerow(
-                [
-                    name,
-                    fmt_float(values[j]),
-                    fmt_float(result.q_values[j]),
-                    fmt_float(result.local_fdr[j]),
-                    int(j in chosen),
-                ]
-            )
+    write_table(
+        args.output,
+        ["name", "score", "q_value", "local_fdr", "selected"],
+        (
+            [name, values[j], result.q_values[j], result.local_fdr[j], int(j in chosen)]
+            for j, name in enumerate(names)
+        ),
+    )
     print(
         f"survscreen: eta0={fmt_float(result.eta0)} "
         f"null_scale={fmt_float(result.null_scale)} "
@@ -124,15 +102,15 @@ def _cmd_simulate(args) -> None:
     for rep in range(args.replicates):
         sample = scenario.draw(replicate_rng(config.seed, rep))
         save_sample(sample, os.path.join(args.output_dir, f"data_{rep}.csv"))
-        with open(os.path.join(args.output_dir, f"truth_{rep}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "beta", "influential"])
-            for j, name in enumerate(sample.names()):
-                writer.writerow([name, fmt_float(truth.beta[j]), int(j in influential)])
+        write_table(
+            os.path.join(args.output_dir, f"truth_{rep}.csv"),
+            ["name", "beta", "influential"],
+            ([name, truth.beta[j], int(j in influential)] for j, name in enumerate(sample.names())),
+        )
 
 
 def _cmd_evaluate(args) -> None:
-    names, values = _read_scores(args.scores)
+    names, values, flags = _read_scores(args.scores)
     truth_names, beta, influential = _read_truth(args.truth)
     if names != truth_names:
         raise ValidationError("scores and truth files disagree on covariate names")
@@ -141,26 +119,12 @@ def _cmd_evaluate(args) -> None:
     curve = pr_auc(np.abs(values), influential)
     rho = rank_correlation(beta, values)
     rows = [("pr_auc", curve.auc), ("rank_correlation", rho)]
-
-    with open(args.scores, newline="") as fh:
-        reader = csv.DictReader(fh)
-        has_selection = "selected" in (reader.fieldnames or [])
-        if has_selection:
-            selected = [
-                i for i, rec in enumerate(reader)
-                if parse_cell(rec["selected"], i + 1, "selected", int)
-            ]
-    if has_selection:
+    if flags:
         tp, fp, fn, tn = selection_confusion(
-            selected, np.flatnonzero(influential), len(names)
+            np.flatnonzero(flags), np.flatnonzero(influential), len(names)
         )
         rows += [("tp", tp), ("fp", fp), ("fn", fn), ("tn", tn)]
-
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in rows:
-            writer.writerow([name, fmt_float(value) if isinstance(value, float) else value])
+    write_table(args.output, ["metric", "value"], rows)
 
 
 def _cmd_bench(args) -> None:

@@ -1,8 +1,10 @@
-"""Right-censored sample container plus CSV ingestion and emission.
+"""Right-censored sample container and the one CSV table format.
 
 Observed times are log-transformed once, at construction; everything
 downstream works on the log scale.  The raw-scale times are kept alongside
-so that emitted CSVs reproduce the ingested values exactly.
+so that emitted CSVs reproduce the ingested values exactly.  Every CSV the
+package reads goes through ``read_table`` or ``load_sample`` (one row
+iterator behind both), and every CSV it writes through ``write_table``.
 """
 
 from __future__ import annotations
@@ -142,15 +144,58 @@ def parse_cell(cell: str, row: int, column: str, convert=float):
     raise NonNumericCell(row, column)
 
 
+def _rows(reader):
+    """(row, cells) of each non-blank row of a ``csv.reader``: the header is
+    row 0 and data rows count from 1, blank rows not counted.  A row ``csv``
+    cannot split, such as one with a cell over its field limit, raises
+    NonNumericCell for that row."""
+    row = 0
+    try:
+        for cells in reader:
+            if cells:
+                yield row, cells
+                row += 1
+    except csv.Error as exc:
+        raise NonNumericCell(row, f"<{exc}>") from None
+
+
+def read_table(path, columns):
+    """(1-based data row, {column: cell}) for each data row of a headed CSV.
+
+    Each record maps every header column to its cell, as ``csv.DictReader``
+    does: blank rows are skipped and not counted, a short row leaves its
+    missing cells None (``parse_cell`` rejects them) and extra cells are
+    dropped.  A header without every name in ``columns`` raises
+    MissingColumn.
+    """
+    with open(path, newline="") as fh:
+        rows = _rows(csv.reader(fh))
+        _, header = next(rows, (0, []))
+        if not set(columns) <= set(header):
+            raise MissingColumn(f"{path}: expected the columns {','.join(columns)}")
+        for r, cells in rows:
+            yield r, dict(itertools.zip_longest(header, cells[: len(header)]))
+
+
+def write_table(path, header, rows) -> None:
+    """Write a headed CSV: float cells (numpy float64 is one) with
+    ``fmt_float``, None as an empty cell and every other cell as it is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([fmt_float(c) if isinstance(c, float) else c for c in row] for row in rows)
+
+
 def load_sample(path, time_col: str = "time", status_col: str = "status") -> SurvivalSample:
     """Read a `time,status,<covariates...>` CSV into a SurvivalSample.
 
     The header row is mandatory.  Every column other than the time and
     status columns is treated as a numeric covariate; missing or
     non-numeric cells are rejected.  Row indices in errors are 1-based
-    data rows (header excluded).  Of several faults the first row with a
-    cell that does not parse is reported, else the first non-finite cell,
-    else the first time <= 0, else the first status other than 0 or 1.
+    data rows (header and blank rows excluded).  Of several faults the
+    first row with a cell that does not parse is reported, else the first
+    non-finite cell, else the first time <= 0, else the first status other
+    than 0 or 1.
 
     The data rows are parsed in one C pass (``_parsed_table``); a file that
     pass cannot take as it stands is read row by row with ``csv``, which
@@ -158,10 +203,10 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TooFewRows("empty file") from None
+        rows = _rows(reader)
+        _, header = next(rows, (0, None))
+        if header is None:
+            raise TooFewRows("empty file")
         header = [h.strip() for h in header]
         for col in (time_col, status_col):
             if col not in header:
@@ -175,21 +220,17 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
 
         table = _parsed_table(path, reader.line_num, len(header))
         if table is None:
-            rows = []
-            r = 0
-            try:
-                for r, rec in enumerate(reader, start=1):
-                    if len(rec) != len(header):
-                        raise NonNumericCell(r, "<row length>")
-                    try:
-                        rows.append([float(c) for c in rec])
-                    except ValueError:
-                        for cell, column in zip(rec, header):
-                            parse_cell(cell, r, column)
-            except csv.Error as exc:  # a row csv cannot split, such as an over-long cell
-                raise NonNumericCell(r + 1, f"<{exc}>") from None
-            table = np.array(rows)
-            del rows
+            values = []
+            for r, rec in rows:
+                if len(rec) != len(header):
+                    raise NonNumericCell(r, "<row length>")
+                try:
+                    values.append([float(c) for c in rec])
+                except ValueError:
+                    for cell, column in zip(rec, header):
+                        parse_cell(cell, r, column)
+            table = np.array(values)
+            del values
 
     if len(table) < 2:
         raise TooFewRows(f"need at least 2 data rows, got {len(table)}")
@@ -240,12 +281,8 @@ def _parsed_table(path, skip: int, width: int) -> np.ndarray | None:
 
 def save_sample(sample: SurvivalSample, path) -> None:
     """Write the sample back to CSV with round-trip float precision."""
-    names = sample.names()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "status"] + names)
-        for i in range(sample.n):
-            writer.writerow(
-                [fmt_float(sample.times[i]), int(sample.events[i])]
-                + [fmt_float(v) for v in sample.covariates[i]]
-            )
+    write_table(
+        path,
+        ["time", "status"] + sample.names(),
+        ([sample.times[i], int(sample.events[i]), *sample.covariates[i]] for i in range(sample.n)),
+    )

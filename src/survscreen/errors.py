@@ -36,8 +36,11 @@ class NonBinaryStatus(ValidationError):
 
 
 class NonNumericCell(ValidationError):
+    """A cell that is not a finite number; row 0 is the header row."""
+
     def __init__(self, row: int, column: str):
-        super().__init__(f"non-numeric cell in data row {row}, column {column!r}")
+        where = f"data row {row}" if row else "the header row"
+        super().__init__(f"non-numeric cell in {where}, column {column!r}")
         self.row = row
         self.column = column
 

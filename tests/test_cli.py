@@ -218,17 +218,45 @@ def test_score_without_covariates_exit_2(tmp_path, capsys, method):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["cars", "cox"])
-def test_score_cell_over_csv_field_limit_exit_2(tmp_path, capsys, method):
-    # over csv's 131072-character field limit: the csv fallback cannot split the row
-    bad = tmp_path / "bad.csv"
-    bad.write_text("time,status,x\n1,1,0.5\n2,0," + "a" * 140_000 + "\n3,1,0.25\n")
+REPORT_HEADER = ",".join(bench.REPORT_HEADER) + "\n"
+FULL_KEY = (
+    "n=60;d=12;influential_fraction=0.25;influential_block=3;explained_variance=0.75;"
+    "censoring_rate=0.25;cutoff_quantile=0.9;block_magnitudes=0.25:0.5:0.75"
+)
+OVER_LIMIT = "a" * 140_000  # over csv's 131072-character field limit: csv cannot split its row
+OVER_LIMIT_FILES = {
+    "sample": "time,status,x\n1,1,0.5\n2,0,{}\n3,1,0.25\n",
+    "scores": "name,score\nx1,0.5\nx2,{}\nx3,0.25\n",
+    "truth": "name,beta,influential\nx1,0.5,1\nx2,{},0\nx3,0.0,0\n",
+    "report": REPORT_HEADER + FULL_KEY + ",0,cars,0.5,0.5,\n" + FULL_KEY + ",1,cars,{},0.5,\n",
+    "header": "time,status,{}\n1,1,0.5\n2,0,0.3\n3,1,0.25\n",
+}
+# case -> (argv, the file that holds the over-long cell)
+OVER_LIMIT_CASES = {
+    "cars": (["score", "--input", "{sample}", "--method", "cars"], "sample"),
+    "cox": (["score", "--input", "{sample}", "--method", "cox"], "sample"),
+    "select-scores": (["select", "--scores", "{scores}", "--alpha", "0.1"], "scores"),
+    "evaluate-scores": (["evaluate", "--scores", "{scores}", "--truth", "{truth}"], "scores"),
+    "evaluate-truth": (["evaluate", "--scores", "{scores}", "--truth", "{truth}"], "truth"),
+    "plotdata-report": (["plotdata", "--report", "{report}", "--group-by", "d"], "report"),
+    "sample-header": (["score", "--input", "{header}", "--method", "cox"], "header"),
+}
+
+
+@pytest.mark.parametrize("case", OVER_LIMIT_CASES)
+def test_score_cell_over_csv_field_limit_exit_2(tmp_path, capsys, case):
+    argv, bad = OVER_LIMIT_CASES[case]
+    paths = {}
+    for name, text in OVER_LIMIT_FILES.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text.format(OVER_LIMIT if name == bad else "0.75"))
     out = tmp_path / "o.csv"
-    code = main(["score", "--input", str(bad), "--method", method, "--output", str(out)])
+    code = main([arg.format(**paths) for arg in argv] + ["--output", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("survscreen: NonNumericCell: non-numeric cell in data row 2")
+    where = "the header row" if bad == "header" else "data row 2"
+    assert err.startswith(f"survscreen: NonNumericCell: non-numeric cell in {where}")
     assert not out.exists()
 
 
@@ -263,13 +291,6 @@ def test_score_bad_nu_exit_2_without_scores(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["score", "--input", str(data), "--output", str(scores), "--nu", "0.5"])
     assert exc.value.code == 2
-
-
-REPORT_HEADER = ",".join(bench.REPORT_HEADER) + "\n"
-FULL_KEY = (
-    "n=60;d=12;influential_fraction=0.25;influential_block=3;explained_variance=0.75;"
-    "censoring_rate=0.25;cutoff_quantile=0.9;block_magnitudes=0.25:0.5:0.75"
-)
 
 
 @pytest.mark.parametrize(
@@ -318,8 +339,8 @@ def edge_sample(case):
 EDGE_CASES = {
     ("d=1", "cars"): (0, 2),  # select: TooFewScores
     ("d=1", "cox"): (0, 2),
-    ("n=3", "cars"): (0, 0),
-    ("n=3", "cox"): (0, 0),
+    ("n=3", "cars"): (0, 3),  # select: DegenerateScores, the null scale is not identified
+    ("n=3", "cox"): (0, 3),
     ("n=3-censored", "cars"): (2, None),  # TooFewRows: 2 rows of positive weight
     ("n=3-censored", "cox"): (0, 0),
     ("one-event", "cars"): (3, None),  # DegenerateOutcome

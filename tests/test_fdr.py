@@ -53,6 +53,14 @@ def test_fit_null_rejects_constant_scores():
         fit_null(np.full(50, 0.3))
 
 
+@pytest.mark.parametrize("d", [25, 100])
+def test_fit_null_rejects_unidentified_scale(d):
+    # uniform magnitudes have no decreasing density near 0: the truncated
+    # likelihood rises to the bound of the scale bracket
+    with pytest.raises(DegenerateScores, match="not identified"):
+        fit_null(np.random.default_rng(0).uniform(-1.0, 1.0, size=d))
+
+
 def test_fit_null_pure_null_calibration():
     hits_scale = 0
     hits_eta = 0
