@@ -5,8 +5,9 @@ Cox partial log-likelihood with Breslow tie handling; the score is the
 standardized coefficient (Z statistic).  The partial likelihood depends on
 the time ordering only, so log-scale and raw-scale times give the same fit.
 The times are sorted once per call and the covariates fitted together, one
-per row of a block of at most ``BLOCK_CELLS`` cells.  Every row is reduced
-over contiguous memory, so each fit is bit-identical to its column's alone.
+per row of a block of at most ``BLOCK_CELLS`` cells, and every block
+reuses one scratch array.  Every row is reduced over contiguous memory, so
+each fit is bit-identical to its column's alone.
 """
 
 from __future__ import annotations
@@ -37,42 +38,58 @@ class CoxFit:
     flag: str | None = None  # None, "degenerate" or "separation"
 
 
-def _breslow_parts(z, z_ev, risk, beta):
+def _breslow_parts(z, z2, z_ev, risk, beta, work):
     """Log-likelihood, score and information of each row of z at its beta.
 
-    Rows of z are standardized covariates in time order and z_ev their
-    values at the events; ``risk[k]`` is the first sorted index of the risk
-    set of event k (all observations with time >= its time).  A per-row
-    shift keeps the exponentials from overflowing; it cancels in all ratios.
+    Rows of z are standardized covariates in time order, z2 their squares
+    and z_ev their values at the events; ``risk[k]`` is the first sorted
+    index of the risk set of event k (all observations with time >= its
+    time).  ``work`` is a (3, >= rows, n) scratch array that holds the
+    three summands and then, in place, their running sums from the end.  A
+    per-row shift keeps the exponentials from overflowing; it cancels in
+    all ratios.
     """
-    arg = beta[:, None] * z
-    shift = arg.max(axis=1)
-    e = np.exp(arg - shift[:, None])
-    # take() returns C-ordered rows, so each row sums as a lone column would
-    s0, s1, s2 = (
-        np.cumsum(a[:, ::-1], axis=1)[:, ::-1].take(risk, axis=1) for a in (e, z * e, z**2 * e)
-    )
-    m1 = s1 / s0
-    loglik = (beta[:, None] * z_ev - (np.log(s0) + shift[:, None])).sum(axis=1)
-    score = (z_ev - m1).sum(axis=1)
-    info = (s2 / s0 - m1**2).sum(axis=1)
+    w = work[:, : z.shape[0]]
+    e, ze, z2e = w
+    np.multiply(beta[:, None], z, out=e)
+    shift = e.max(axis=1)
+    np.exp(np.subtract(e, shift[:, None], out=e), out=e)
+    np.multiply(z, e, out=ze)
+    np.multiply(z2, e, out=z2e)
+    tail = w[:, :, ::-1]
+    np.cumsum(tail, axis=2, out=tail)
+    # take() returns C-ordered rows, so each row sums as a lone column would;
+    # the terms are then formed in those rows and one temporary
+    s0, m1, var = w.take(risk, axis=2)
+    m1 /= s0
+    var /= s0
+    np.log(s0, out=s0)
+    s0 += shift[:, None]
+    t = beta[:, None] * z_ev
+    t -= s0
+    loglik = t.sum(axis=1)
+    var -= np.square(m1, out=t)
+    info = var.sum(axis=1)
+    score = np.subtract(z_ev, m1, out=m1).sum(axis=1)
     return loglik, score, info
 
 
-def _fit_rows(xt, order, ev_pos, risk) -> list[CoxFit]:
+def _fit_rows(xt, order, ev_pos, risk, work) -> list[CoxFit]:
     """One CoxFit per row of xt (covariates x observations in input order);
     ``order`` sorts by time, ``ev_pos`` picks the sorted events."""
     sd = xt.std(axis=1, ddof=1)
     live = np.flatnonzero(sd != 0)
-    sd, x = sd[live], xt[live]
+    sd, x = sd[live], (xt if live.size == len(xt) else xt[live])
     # fit on the standardized scale; the z score is invariant
-    z = ((x - x.mean(axis=1)[:, None]) / sd[:, None]).take(order, axis=1)
-    z_ev = z.take(ev_pos, axis=1)
+    z = x - x.mean(axis=1)[:, None]
+    z /= sd[:, None]
+    z = z.take(order, axis=1)
+    z2, z_ev = z**2, z.take(ev_pos, axis=1)
     cap = BETA_CAP * sd
 
     k = live.size
     beta = np.zeros(k)
-    loglik, score, info = _breslow_parts(z, z_ev, risk, beta)
+    loglik, score, info = _breslow_parts(z, z2, z_ev, risk, beta, work)
     iterations = np.full(k, MAX_ITER)
     converged, separated = np.zeros((2, k), dtype=bool)
     rows = np.arange(k)  # still iterating; each row stops where a lone fit would
@@ -91,7 +108,9 @@ def _fit_rows(xt, order, ev_pos, risk) -> list[CoxFit]:
         for _ in range(30):
             r = rows[halving]
             beta[r] = base[halving] + step[halving]
-            loglik[r], score[r], info[r] = _breslow_parts(z[r], z_ev[r], risk, beta[r])
+            # while every row is active, r is arange(k): no row copies
+            zr = (z, z2, z_ev) if r.size == k else (z[r], z2[r], z_ev[r])
+            loglik[r], score[r], info[r] = _breslow_parts(*zr, risk, beta[r], work)
             halving = halving[~(loglik[r] >= floor[halving])]
             if not halving.size:
                 break
@@ -102,7 +121,7 @@ def _fit_rows(xt, order, ev_pos, risk) -> list[CoxFit]:
 
     sep = np.flatnonzero(separated)
     beta[sep] = np.sign(np.where(beta[sep] != 0, beta[sep], score[sep])) * cap[sep]
-    info[sep] = _breslow_parts(z[sep], z_ev[sep], risk, beta[sep])[2]
+    info[sep] = _breslow_parts(z[sep], z2[sep], z_ev[sep], risk, beta[sep], work)[2]
     se_internal = np.full(k, np.inf)
     se_internal[info > 0] = 1.0 / np.sqrt(info[info > 0])
     z_score = np.divide(beta, se_internal, out=np.zeros(k), where=np.isfinite(se_internal))
@@ -129,8 +148,9 @@ def _fit_columns(times, events, x) -> list[CoxFit]:
     ev_pos = np.flatnonzero(events[order] == 1)
     risk = np.searchsorted(t_s, t_s[ev_pos], side="left")
     width = max(1, BLOCK_CELLS // n)
+    work = np.empty((3, min(width, x.shape[1]), n))  # every block's scratch
     blocks = (np.ascontiguousarray(x[:, lo : lo + width].T) for lo in range(0, x.shape[1], width))
-    return [fit for xt in blocks for fit in _fit_rows(xt, order, ev_pos, risk)]
+    return [fit for xt in blocks for fit in _fit_rows(xt, order, ev_pos, risk, work)]
 
 
 def cox_univariate(times: np.ndarray, events: np.ndarray, x: np.ndarray) -> CoxFit:

@@ -249,16 +249,20 @@ def _parsed_table(path, skip: int, width: int) -> np.ndarray | None:
     ``np.loadtxt`` parses the cells in C with the correctly rounded
     conversion of ``float``, and every cell it accepts ``float`` accepts
     with the same value.  The file is read in universal-newline mode,
-    which splits lines where ``csv`` does.  None means the ``csv`` loop
-    must read the file: a blank line or a quote (which ``loadtxt`` would
-    skip or split differently), no data line at all, a cell ``loadtxt``
-    rejects, or rows that are not ``width`` cells wide.
+    which splits lines where ``csv`` does.  A blank line (a bare newline)
+    is skipped and not counted, as the ``csv`` loop skips it.  None means
+    the ``csv`` loop must read the file: another whitespace-only line or a
+    quote (which ``loadtxt`` would skip or split differently), no data line
+    at all, a cell ``loadtxt`` rejects, or rows that are not ``width`` cells
+    wide.
     """
     plain = True
 
     def lines(fh):
         nonlocal plain
         for line in itertools.islice(fh, skip, None):
+            if line == "\n":
+                continue
             if line.isspace() or '"' in line:
                 plain = False
                 return

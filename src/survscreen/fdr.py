@@ -12,10 +12,10 @@ CDF of the magnitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf, erfc
 
 from .cars import ScoreVector
@@ -38,6 +38,55 @@ class SelectionResult:
     selected: np.ndarray
     threshold_phi: float
     alpha: float | None = None
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's (1973) method, step for step as ``scipy.optimize.brentq``
+    (its C core): the same iterates, so the same root to the last bit.
+    Raises RuntimeError when ``maxiter`` steps do not converge.
+    """
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:  # C's inf or nan, which fails the test below
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
 #: widened second-stage truncation: the fitted null 95% magnitude quantile
@@ -72,7 +121,7 @@ def _truncated_mle(a: np.ndarray, c: float) -> float:
         return 0.0
     if grad(hi) <= 0:
         return np.inf
-    return c * float(brentq(grad, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return c * _brentq(grad, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def fit_null(scores: np.ndarray) -> tuple[float, float]:

@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateRanksWarning, NoPositives
 
@@ -54,6 +53,19 @@ def pr_auc(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
     return PrCurve(recall, precision, auc, positives, positives / labels.shape[0])
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v, each tie block sharing the mean of its ranks (all
+    NaN if v holds a NaN), as ``scipy.stats.rankdata``: every rank is an
+    integer or a half, so the two agree exactly."""
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    count = np.diff(np.append(start, v.size))
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(start + 1 + (count - 1) / 2, count)
+    return ranks if not np.isnan(s[-1]) else np.full(v.size, np.nan)
+
+
 def rank_correlation(true_effects: np.ndarray, scores: np.ndarray) -> float:
     """Spearman correlation of |true effects| vs |scores| with average ranks.
 
@@ -66,8 +78,8 @@ def rank_correlation(true_effects: np.ndarray, scores: np.ndarray) -> float:
     if np.all(a == a[0]) or np.all(b == b[0]):
         warnings.warn("constant ranks; correlation set to 0", DegenerateRanksWarning)
         return 0.0
-    ra = rankdata(a)
-    rb = rankdata(b)
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
     return float((ra @ rb) / np.sqrt((ra @ ra) * (rb @ rb)))

@@ -71,7 +71,8 @@ class _GramRows:
 def _unit_diagonal(gram: np.ndarray) -> np.ndarray:
     """The correlation matrix from the Gram a'a of ``_weighted_rows``: exactly
     symmetric, with unit diagonal."""
-    corr = (gram + gram.T) / 2
+    corr = gram + gram.T
+    corr /= 2
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -189,8 +190,8 @@ def shrink(corr: np.ndarray, lam: float) -> ShrinkageCorrelation:
         raise ValueError(f"shrinkage weight must be in [0, 1], got {lam}")
     corr = np.asarray(corr, dtype=float)
     out = (1.0 - lam) * corr
-    np.fill_diagonal(out, 0.0)
-    out += lam * np.eye(corr.shape[0])
+    # the shrunk matrix holds no -0.0: adding +0.0 turns each into +0.0
+    out += 0.0
     np.fill_diagonal(out, 1.0)
     return ShrinkageCorrelation(out, lam)
 
@@ -202,8 +203,10 @@ def _dense_whitener(shrunk: ShrinkageCorrelation) -> tuple[InverseSqrtCorrelatio
         raise SingularMatrix(
             f"smallest eigenvalue {w.min():.3e} <= {MIN_EIGENVALUE:g}"
         )
-    m = (v * w**-0.5) @ v.T
-    m = (m + m.T) / 2
+    scaled = v * w**-0.5
+    m = scaled @ v.T
+    m = np.add(m, m.T, out=scaled)  # symmetrize into the spent buffer
+    m /= 2
     whitener = InverseSqrtCorrelation(dim=shrunk.matrix.shape[0], matrix=m)
     return whitener, shrunk.shrinkage, float(w.min())
 
@@ -240,7 +243,9 @@ def whitener_from_data(
 
     m = rows.a.shape[0]
     if d <= m:
-        return _dense_whitener(shrink(_unit_diagonal(rows.gram), lam))
+        shrunk = shrink(_unit_diagonal(rows.gram), lam)
+        del rows  # freed before eigh takes its workspace: a lower peak heap, fewer page faults
+        return _dense_whitener(shrunk)
     min_eig = lam  # rank-deficient: the orthogonal complement sits at lam
     if min_eig <= MIN_EIGENVALUE:
         raise SingularMatrix(

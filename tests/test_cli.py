@@ -144,6 +144,19 @@ def test_console_entry_point(tmp_path):
     assert "score" in result.stdout and "bench" in result.stdout
 
 
+def test_cold_start_skips_scipy_stats_and_optimize():
+    # the runtime needs numpy and scipy.special only; the two heavy scipy
+    # subpackages would more than double the start-up time of every call
+    code = (
+        "import sys; import survscreen, survscreen.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'stats'], ['scipy', 'optimize'])))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(SCENARIO)

@@ -115,6 +115,8 @@ LOADER_FILES = {
     "short-row": lines(ROWS[0], "2,0,3.5", ROWS[2]),
     "blank-mid": lines(ROWS[0], "", *ROWS[1:]),
     "blank-end": lines(*ROWS) + "\n",
+    "blank-everywhere": lines("", ROWS[0], "", "", *ROWS[1:], "", end="\r\n"),
+    "blank-then-nan": lines(ROWS[0], "", "2,0,nan,7", ROWS[2]),
     "whitespace-line": lines(ROWS[0], " \t", *ROWS[1:]),
     "header-only": lines(),
     "one-row": lines(ROWS[0]),
@@ -141,6 +143,7 @@ def load_outcome(path):
 BULK = {
     "lf", "lone-cr", "crlf", "mixed-endings", "no-final-newline", "quoted-header-newline",
     "space-padded", "tab-padded", "nan", "one-row", "status-2", "negative-time",
+    "blank-mid", "blank-end", "blank-everywhere", "blank-then-nan",
 }
 
 
@@ -165,6 +168,15 @@ def test_loader_matches_the_csv_loop(tmp_path, monkeypatch, capfd, name):
     assert taken == [name in BULK]
     monkeypatch.setattr(data, "_parsed_table", lambda *args: None)
     assert got == load_outcome(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_blank_lines_stay_on_the_bulk_parse(tmp_path, end):
+    plain = write_csv(tmp_path / "plain.csv", lines(*ROWS, end=end))
+    blanks = write_csv(tmp_path / "blanks.csv", lines("", ROWS[0], "", *ROWS[1:], "", end=end))
+    for path in (plain, blanks):
+        assert data._parsed_table(path, 1, 4) is not None
+    assert load_outcome(blanks) == load_outcome(plain)
 
 
 def test_round_trip_bit_identical(tmp_path):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import brentq
 
-from survscreen import select
+from survscreen import fdr, select
 from survscreen.errors import DegenerateScores, TooFewScores
-from survscreen.fdr import _grenander_density, _pava_decreasing, fit_null, q_values
+from survscreen.fdr import _brentq, _grenander_density, _pava_decreasing, fit_null, q_values
 
 
 def pava_minmax_oracle(y, w):
@@ -206,3 +209,61 @@ def test_scale_equivariance():
     npt.assert_allclose(b.eta0, a.eta0, rtol=1e-8)
     npt.assert_allclose(b.q_values, a.q_values, atol=1e-8)
     npt.assert_array_equal(b.selected, a.selected)
+
+
+def random_brackets(rng, count):
+    """(f, a, b) with f(a) and f(b) of opposite signs: smooth, steep, flat
+    and kinked functions, roots anywhere in the bracket or at its ends."""
+    out = []
+    while len(out) < count:
+        a, b = np.sort(rng.uniform(-3.0, 3.0, size=2) * 10.0 ** rng.integers(-3, 3))
+        root = a + (b - a) * float(rng.choice([rng.uniform(), 0.0, 1.0], p=[0.9, 0.05, 0.05]))
+        kind = len(out) % 5
+        c = rng.uniform(0.1, 5.0)
+        if kind == 0:
+            f = lambda x, r=root, c=c: c * (x - r) + (x - r) ** 3
+        elif kind == 1:
+            f = lambda x, r=root, c=c: math.tanh(c * (x - r) * 1e3)
+        elif kind == 2:
+            f = lambda x, r=root, c=c / (b - a): math.expm1(c * (x - r)) - 1e-3 * (x - r) ** 2
+        elif kind == 3:
+            f = lambda x, r=root, c=c: abs(x - r) ** 0.3 * math.copysign(1.0, x - r) * c
+        else:
+            f = lambda x, r=root, c=c: np.float64(x - r) * np.exp(-c * x * x)
+        fa, fb = f(a), f(b)
+        if a < b and (fa == 0 or fb == 0 or (fa < 0) != (fb < 0)):
+            out.append((f, float(a), float(b)))
+    return out
+
+
+@pytest.mark.parametrize("tols", [(1e-15, 8.9e-16), (2e-12, 4 * np.finfo(float).eps), (1e-6, 1e-10)])
+def test_brentq_matches_scipy_bitwise(tols):
+    xtol, rtol = tols
+    for f, a, b in random_brackets(np.random.default_rng(17), 1200):
+        want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert _brentq(f, a, b, xtol=xtol, rtol=rtol) == want
+
+
+def test_brentq_matches_scipy_on_the_null_likelihood(monkeypatch):
+    # fit_null with scipy's root finder in place of the port: every field equal
+    rng = np.random.default_rng(23)
+    vectors = [rng.normal(0.0, rng.uniform(0.01, 10.0), size=rng.integers(20, 400))
+               for _ in range(150)]
+    vectors += [np.concatenate([rng.normal(0.0, 0.1, 900), np.abs(rng.normal(0.5, 0.1, 100))])]
+
+    def outcome(v):
+        try:
+            return fit_null(v)
+        except DegenerateScores as exc:
+            return str(exc)
+
+    ported = [outcome(v) for v in vectors]
+    monkeypatch.setattr(fdr, "_brentq", lambda *a, **k: float(brentq(*a, **k)))
+    assert [outcome(v) for v in vectors] == ported
+
+
+def test_brentq_raises_without_sign_change_or_convergence():
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    with pytest.raises(RuntimeError):
+        _brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=2)

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.stats import rankdata
 
 from survscreen import pr_auc
-from survscreen.metrics import rank_correlation, selection_confusion
+from survscreen.metrics import _average_ranks, rank_correlation, selection_confusion
 from survscreen.errors import DegenerateRanksWarning, NoPositives
 
 
@@ -139,6 +140,19 @@ def test_rank_correlation_closed_form_without_ties():
     diffs = np.argsort(np.argsort(a)) - np.argsort(np.argsort(b))
     closed = 1 - 6 * np.sum(diffs.astype(float) ** 2) / (10 * (100 - 1))
     npt.assert_allclose(rank_correlation(a, b), closed, atol=1e-12)
+
+
+def test_average_ranks_match_scipy_rankdata_bitwise():
+    rng = np.random.default_rng(8)
+    for i in range(600):
+        n = int(rng.integers(1, 60))
+        v = rng.integers(0, 1 + i % 7, size=n).astype(float) if i % 2 else rng.standard_normal(n)
+        if i % 11 == 0:
+            v[rng.integers(0, n)] = -0.0
+        got, want = _average_ranks(v), rankdata(v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    nan = np.array([2.0, np.nan, 1.0])
+    assert np.isnan(_average_ranks(nan)).all() and np.isnan(rankdata(nan)).all()
 
 
 def test_rank_correlation_constant_side_warns_and_returns_zero():
