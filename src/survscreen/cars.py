@@ -103,15 +103,8 @@ def cars_score(
     covs = weighted_covariances(sample, ws.weights, mean_w, summary)
     corr = correlation_vector(covs, summary, var_w)
 
-    if sample.d == 1:
-        lam_used, min_eig = (lambda_override or 0.0), 1.0
-        theta = corr.copy()
-    else:
-        whitener, lam_used, min_eig = whitener_from_data(
-            sample.covariates, lambda_override, ws.weights
-        )
-        theta = whitener.apply(corr)
-
+    whitener, lam_used, min_eig = whitener_from_data(sample.covariates, lambda_override, ws.weights)
+    theta = whitener.apply(corr)
     degenerate = summary.degenerate
     theta[degenerate] = 0.0
 

@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from .cars import DEFAULT_NU, ScoreVector, cars_score, rank_by_magnitude
 from .cox import cox_scores
 from .data import fmt_float, load_sample, parse_cell, read_table, save_sample, write_table
-from .errors import NumericalError, SurvScreenError, TooFewScores, ValidationError
+from .errors import BadValue, NumericalError, SurvScreenError, TooFewScores, ValidationError
 from .fdr import null_model_curve, select as fdr_select
 from .metrics import pr_auc, rank_correlation, selection_confusion
 from .simulate import Scenario, load_scenario_config, replicate_rng
@@ -206,9 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """``--threads`` and, where a subcommand takes it, ``--replicates`` are at least 1."""
+    for flag in ("threads", "replicates"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise BadValue(f"--{flag} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         args.func(args)
     # a file that is not text fails to decode; any other ValueError is a bug
     except (ValidationError, OSError, UnicodeDecodeError) as exc:

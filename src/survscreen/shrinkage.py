@@ -11,9 +11,13 @@ Without weights every row has weight 1, which is the plain sample
 estimator.  The weighted standardized rows a (m x d, m the number of rows
 of positive weight) and one Gram matrix of them are formed once per
 whitener: a'a, the correlation matrix, when d <= m, and the m x m matrix
-aa' when d > m.  In the second case the inverse square root is never
-formed as a dense d x d eigenproblem; it is applied through the
-eigendecomposition of aa', which costs O(m^2 d).
+aa' when d > m.  Shrinking maps each eigenvalue mu of R to
+lam + (1 - lam) mu in the same eigendirection, so the inverse square root
+has one form on both routes, b I + V diag(g - b) V' with
+g = (lam + (1 - lam) mu)^-1/2: V holds every eigenvector of R and b = 0
+when d <= m; V holds the nonzero directions a'U mu^-1/2 of
+aa' = U diag(mu) U' and b = lam^-1/2 when d > m, at a cost of O(m^2 d).
+Scoring never forms a d x d inverse square root.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ def sample_correlations(covariates: np.ndarray) -> np.ndarray:
     """Pearson correlation matrix of the columns (every row of weight 1).
 
     Zero-variance columns get correlation 0 off the diagonal and 1 on it.
-    This is the matrix the dense route of ``whitener_from_data`` shrinks.
+    This is the matrix whose eigenvectors the d <= m route of
+    ``whitener_from_data`` keeps.
     """
     a, _ = _weighted_rows(covariates, None)
     return _unit_diagonal(a.T @ a)
@@ -139,47 +144,44 @@ class ShrinkageCorrelation:
     shrinkage: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class InverseSqrtCorrelation:
-    """Inverse square root of a shrunk correlation matrix.
+    """Inverse square root of a shrunk correlation matrix, in spectral form
 
-    Held either densely (``matrix``) or, for d above the number of rows of
-    positive weight, as the low-rank factorisation
-    lam^-1/2 * I + V (f(mu) - lam^-1/2) V' where V spans the nonzero
-    sample-correlation eigendirections and f(mu) = (lam + (1 - lam) mu)^-1/2.
-    A column that is constant over those rows (a zero row of V) has
-    correlation 0 with every other column and 1 with itself, so its row and
-    column of the inverse square root are those of the identity.
+        W = b I + V diag(g - b) V',
+
+    V a d x r matrix of orthonormal eigendirections, g their inverse square
+    root eigenvalues and b the one of the orthogonal complement.  A column
+    that is constant over the rows (``constant``) has correlation 0 with
+    every other column and 1 with itself, so its row and column of W are
+    those of the identity.  An empty V with b = 1 is the exact identity.
     """
 
-    dim: int
-    matrix: np.ndarray | None = None
-    shrinkage: float | None = None
-    basis: np.ndarray | None = None
-    eigenvalues: np.ndarray | None = None
-    constant: np.ndarray | None = None
+    background: float
+    basis: np.ndarray
+    scales: np.ndarray
+    constant: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d x d form (``to_matrix``)."""
+        return self.to_matrix()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the inverse square root."""
         vec = np.asarray(vec, dtype=float)
-        if self.matrix is not None:
-            return self.matrix @ vec
-        lam = self.shrinkage
-        background = lam**-0.5
-        f = (lam + (1.0 - lam) * self.eigenvalues) ** -0.5
-        proj = self.basis.T @ vec
-        out = background * vec + self.basis @ ((f - background) * proj)
+        b = self.background
+        out = b * vec + self.basis @ ((self.scales - b) * (self.basis.T @ vec))
         out[self.constant] = vec[self.constant]
         return out
 
     def to_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        lam = self.shrinkage
-        background = lam**-0.5
-        f = (lam + (1.0 - lam) * self.eigenvalues) ** -0.5
-        m = (self.basis * (f - background)) @ self.basis.T
-        m[np.diag_indices(self.dim)] += background
+        m = (self.basis * (self.scales - self.background)) @ self.basis.T
+        m[np.diag_indices(self.dim)] += self.background
         m[self.constant, self.constant] = 1.0
         return m
 
@@ -196,24 +198,16 @@ def shrink(corr: np.ndarray, lam: float) -> ShrinkageCorrelation:
     return ShrinkageCorrelation(out, lam)
 
 
-def _dense_whitener(shrunk: ShrinkageCorrelation) -> tuple[InverseSqrtCorrelation, float, float]:
-    """(inverse square root, shrinkage weight, smallest eigenvalue), from one eigh."""
+def inverse_sqrt(shrunk: ShrinkageCorrelation) -> InverseSqrtCorrelation:
+    """Inverse square root of a shrunk matrix from its own eigendecomposition.
+
+    The dense reference for ``whitener_from_data``: every eigendirection is
+    kept and b = 0.
+    """
     w, v = np.linalg.eigh(shrunk.matrix)
     if w.min() <= MIN_EIGENVALUE:
-        raise SingularMatrix(
-            f"smallest eigenvalue {w.min():.3e} <= {MIN_EIGENVALUE:g}"
-        )
-    scaled = v * w**-0.5
-    m = scaled @ v.T
-    m = np.add(m, m.T, out=scaled)  # symmetrize into the spent buffer
-    m /= 2
-    whitener = InverseSqrtCorrelation(dim=shrunk.matrix.shape[0], matrix=m)
-    return whitener, shrunk.shrinkage, float(w.min())
-
-
-def inverse_sqrt(shrunk: ShrinkageCorrelation) -> InverseSqrtCorrelation:
-    """Dense symmetric inverse square root via eigendecomposition."""
-    return _dense_whitener(shrunk)[0]
+        raise SingularMatrix(f"smallest eigenvalue {w.min():.3e} <= {MIN_EIGENVALUE:g}")
+    return InverseSqrtCorrelation(0.0, v, w**-0.5, np.zeros(len(w), dtype=bool))
 
 
 def whitener_from_data(
@@ -223,46 +217,42 @@ def whitener_from_data(
 ) -> tuple[InverseSqrtCorrelation, float, float]:
     """Inverse square root of the shrunk correlation, built from raw data.
 
-    Returns (whitener, lam_used, min_eigenvalue).  The correlation matrix
-    and the estimated lam are those of the weighted distribution over the
-    m rows of positive weight (every row, with weight 1, when ``weights``
-    is None); both come from one ``_GramRows``.  For d <= m this goes
-    through the dense correlation matrix; for d > m only the
-    eigendecomposition aa' = U diag(mu) U' of the m x m Gram matrix is
-    used, exploiting that the shrunk matrix is a scaled identity plus a
-    rank <= m - 1 update along the directions a'U mu^-1/2.
+    Returns (whitener, lam_used, min_eigenvalue).  R and the estimated lam
+    are those of the weighted distribution over the m rows of positive
+    weight (every row, with weight 1, when ``weights`` is None), both from
+    one ``_GramRows``; the module docstring gives the two routes.  With
+    lam = 1 or fewer than 2 covariates the whitener is the exact identity,
+    an empty V with b = 1, and no rows are formed (lam_used is 0 when a
+    single covariate leaves it unestimated).
     """
     x = np.asarray(covariates, dtype=float)
     d = x.shape[1]
-    rows = None if lam == 1.0 else _GramRows.of(x, weights)
-    if lam is None:
-        lam = shrinkage_lambda(rows) if d >= 2 else 0.0
-    if lam == 1.0:
-        # exact identity whitening; avoids eigh round-off on I
-        return InverseSqrtCorrelation(dim=d, matrix=np.eye(d)), 1.0, 1.0
+    if d >= 2 and lam != 1.0:
+        rows = _GramRows.of(x, weights)
+        if lam is None:
+            lam = shrinkage_lambda(rows)
+    if d < 2 or lam == 1.0:
+        identity = InverseSqrtCorrelation(1.0, np.empty((d, 0)), np.empty(0), np.zeros(d, dtype=bool))
+        return identity, (0.0 if lam is None else lam), 1.0
 
-    m = rows.a.shape[0]
-    if d <= m:
-        shrunk = shrink(_unit_diagonal(rows.gram), lam)
+    constant = ~rows.a.any(axis=0)
+    dense = d <= rows.a.shape[0]
+    if dense:
+        corr = _unit_diagonal(rows.gram)
         del rows  # freed before eigh takes its workspace: a lower peak heap, fewer page faults
-        return _dense_whitener(shrunk)
-    min_eig = lam  # rank-deficient: the orthogonal complement sits at lam
+        mu, basis = np.linalg.eigh(corr)
+        min_eig = lam + (1.0 - lam) * mu.min()
+    else:
+        mu, u = np.linalg.eigh(rows.gram)
+        keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)
+        mu = mu[keep]
+        basis = (rows.a.T @ u[:, keep]) / np.sqrt(mu)
+        min_eig = lam  # rank-deficient: the orthogonal complement sits at lam
     if min_eig <= MIN_EIGENVALUE:
         raise SingularMatrix(
-            f"shrinkage weight {lam:.3e} too small for a rank-deficient "
-            f"sample correlation (d={d} > n={m})"
+            f"smallest eigenvalue {min_eig:.3e} of the shrunk correlation <= "
+            f"{MIN_EIGENVALUE:g} (shrinkage weight {lam:.3e}, d={d})"
         )
-    mu, u = np.linalg.eigh(rows.gram)
-    keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)
-    mu = mu[keep]
-    return (
-        InverseSqrtCorrelation(
-            dim=d,
-            shrinkage=lam,
-            basis=(rows.a.T @ u[:, keep]) / np.sqrt(mu),
-            eigenvalues=mu,
-            constant=~rows.a.any(axis=0),
-        ),
-        lam,
-        min_eig,
-    )
+    background = 0.0 if dense else lam**-0.5
+    scales = (lam + (1.0 - lam) * mu) ** -0.5
+    return InverseSqrtCorrelation(background, basis, scales, constant), lam, float(min_eig)

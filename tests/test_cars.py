@@ -47,8 +47,6 @@ def all_ones_pipeline(sample, lambda_override=None):
     v = weighted_variance(sample, weights, m)
     covs = weighted_covariances(sample, weights, m, summ)
     r = correlation_vector(covs, summ, v)
-    if sample.d == 1:
-        return r
     w, _, _ = whitener_from_data(sample.covariates, lambda_override)
     theta = w.apply(r)
     theta[summ.degenerate] = 0.0
@@ -62,6 +60,21 @@ def test_single_covariate_is_scaled_pearson():
     sv = cars_score(s)
     pearson = np.corrcoef(s.covariates[:, 0], s.log_times)[0, 1]
     npt.assert_allclose(sv.scores[0], pearson * np.sqrt((n - 1) / n), rtol=1e-12)
+
+
+@pytest.mark.parametrize("lambda_override, lam_used", [(None, 0.0), (0.3, 0.3), (1.0, 1.0)])
+def test_single_covariate_score_is_its_marginal_correlation_bitwise(lambda_override, lam_used):
+    # one covariate whitens by the exact identity at every shrinkage weight
+    rng = np.random.default_rng(3)
+    s = censored_sample(rng, 50, 1, np.array([0.7]), 1.0)
+    sv = cars_score(s, lambda_override=lambda_override)
+    w = scoring_weights(s).weights
+    summ = covariate_summary(s, w)
+    m = weighted_mean(s, w)
+    v = weighted_variance(s, w, m)
+    r = correlation_vector(weighted_covariances(s, w, m, summ), summ, v)
+    npt.assert_array_equal(sv.scores, r)
+    assert sv.diagnostics["shrinkage"] == lam_used and sv.diagnostics["min_eigenvalue"] == 1.0
 
 
 def test_identity_whitening_gives_marginal_correlations():

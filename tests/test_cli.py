@@ -208,8 +208,9 @@ SCENARIO_KEYS = SCENARIO.replace("seed = 9\n", "")
         SCENARIO_KEYS.replace("n = 150", "n = 150, 300"),  # listed value
         SCENARIO_KEYS + "bogus = 1\n",  # unknown key
         SCENARIO_KEYS + "block_magnitudes = 0.2:0.4\n",  # two magnitudes
+        SCENARIO_KEYS + "block_magnitudes = nan:0.5:0.75\n",  # a non-finite magnitude
     ],
-    ids=["missing", "listed", "unknown", "magnitudes"],
+    ids=["missing", "listed", "unknown", "magnitudes", "nan-magnitude"],
 )
 def test_simulate_bad_config_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "scenario.cfg"
@@ -291,6 +292,42 @@ def test_bench_bad_nu_exit_2_without_report(tmp_path, capsys):
     assert code == 2
     assert "nu must be in (0, 1)" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("magnitudes", ["nan:0.5:0.75", "0.25:0.5:0.75, 0.25:inf:0.75"])
+def test_bench_non_finite_magnitude_exit_2_without_report(tmp_path, capsys, magnitudes):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SCENARIO + f"block_magnitudes = {magnitudes}\n")
+    report = tmp_path / "report.csv"
+    code = main(["bench", "--config", str(cfg), "--output", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("survscreen: BadValue: block_magnitudes must be finite")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--config", "{cfg}", "--output", "{out}/report.csv", "--replicates", "-1"],
+        ["bench", "--config", "{cfg}", "--output", "{out}/report.csv", "--replicates", "0"],
+        ["simulate", "--config", "{cfg}", "--output-dir", "{out}", "--replicates", "-2"],
+        ["--threads", "-3", "bench", "--config", "{cfg}", "--output", "{out}/report.csv"],
+        ["--threads", "0", "simulate", "--config", "{cfg}", "--output-dir", "{out}"],
+    ],
+    ids=["bench-replicates", "bench-zero-replicates", "simulate-replicates", "bench-threads",
+         "simulate-threads"],
+)
+def test_counts_below_one_exit_2_without_output(tmp_path, capsys, argv):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SCENARIO)
+    out = tmp_path / "out"
+    code = main([arg.format(cfg=cfg, out=out) for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("survscreen: BadValue: --")
+    assert not out.exists()
 
 
 def test_score_bad_nu_exit_2_without_scores(tmp_path, capsys):

@@ -205,7 +205,7 @@ def test_structured_path_matches_dense():
         x = rng.standard_normal((n, d))
         lam = 0.4
         structured, lam_s, _ = whitener_from_data(x, lam)
-        assert structured.matrix is None
+        assert structured.background == lam**-0.5 and structured.basis.shape[1] < d
         dense = inverse_sqrt(shrink(sample_correlations(x), lam))
         npt.assert_allclose(structured.to_matrix(), dense.to_matrix(), atol=1e-9)
         probe = rng.standard_normal(d)
@@ -225,6 +225,23 @@ def test_identity_shrinkage_is_exact_identity():
     w, lam, min_eig = whitener_from_data(x, 1.0)
     npt.assert_array_equal(w.to_matrix(), np.eye(9))
     assert lam == 1.0 and min_eig == 1.0
+
+
+@pytest.mark.parametrize("d", [1, 8])
+def test_identity_whitener_forms_no_rows_and_is_exact(monkeypatch, d):
+    # lam = 1 on the d <= m route, and a single covariate at any lam: an
+    # empty basis with b = 1, so apply returns its argument bit for bit
+    from survscreen import shrinkage
+
+    x = np.random.default_rng(30).standard_normal((20, d))
+    monkeypatch.setattr(shrinkage, "_weighted_rows", None)  # no rows may be formed
+    probe = np.random.default_rng(31).standard_normal(d)
+    for lam, lam_used in ((1.0, 1.0),) + (((None, 0.0), (0.3, 0.3)) if d == 1 else ()):
+        w, got_lam, min_eig = whitener_from_data(x, lam)
+        assert w.basis.shape == (d, 0) and w.background == 1.0
+        assert got_lam == lam_used and min_eig == 1.0
+        npt.assert_array_equal(w.apply(probe), probe)
+        npt.assert_array_equal(w.to_matrix(), np.eye(d))
 
 
 def weighted_lambda_oracle(x, w):
@@ -277,7 +294,9 @@ def test_weighted_whitener_inverts_weighted_correlation():
         w = rng.uniform(0.2, 2.0, size=n) * (rng.uniform(size=n) > 0.25)
         for weights, given in ((w, w), (np.ones(n), np.ones(n)), (np.ones(n), None)):
             white, lam, _ = whitener_from_data(x, 0.3, given)
-            assert (white.matrix is None) == (d > np.count_nonzero(weights))
+            thin = d > np.count_nonzero(weights)
+            assert white.background == (0.3**-0.5 if thin else 0.0)
+            assert (white.basis.shape[1] < d) == thin
             dense = inverse_sqrt(shrink(weighted_corr_oracle(x, weights), 0.3))
             npt.assert_allclose(white.to_matrix(), dense.to_matrix(), atol=1e-9)
 
@@ -311,9 +330,11 @@ def test_dense_whitener_takes_min_eigenvalue_from_its_one_eigh(weighted):
             w = None
             corr = sample_correlations(x)
         white, lam, min_eig = whitener_from_data(x, None, w)
+        assert white.background == 0.0 and white.basis.shape == (d, d)
+        # the eigenvectors of R against the independent eigh of the shrunk matrix
         shrunk = shrink(corr, lam)
-        npt.assert_array_equal(white.matrix, inverse_sqrt(shrunk).matrix)
-        assert min_eig == np.linalg.eigh(shrunk.matrix)[0].min()
+        npt.assert_allclose(white.to_matrix(), inverse_sqrt(shrunk).to_matrix(), rtol=0, atol=1e-12)
+        npt.assert_allclose(min_eig, np.linalg.eigvalsh(shrunk.matrix).min(), rtol=0, atol=1e-12)
 
         white, lam, min_eig = whitener_from_data(x, 1.0, w)
         npt.assert_array_equal(white.matrix, np.eye(d))
@@ -341,7 +362,7 @@ def thin_whitener_cases():
 def test_thin_whitener_matches_dense_inverse_sqrt(case):
     x, w, rank = thin_whitener_cases()[case]
     white, lam, min_eig = whitener_from_data(x, None, w)
-    assert white.matrix is None and white.basis.shape[1] == rank
+    assert white.background == lam**-0.5 and white.basis.shape[1] == rank
     assert min_eig == lam
     rows = x if w is None else x[w > 0]
     dense = inverse_sqrt(shrink(sample_correlations(rows), lam)).matrix
