@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cars import ScoreVector
-from .data import SurvivalSample
+from .data import SurvivalSample, column_blocks
 from .errors import DegenerateOutcome
 
 BETA_CAP = 15.0
@@ -147,10 +147,12 @@ def _fit_columns(times, events, x) -> list[CoxFit]:
     t_s = times[order]
     ev_pos = np.flatnonzero(events[order] == 1)
     risk = np.searchsorted(t_s, t_s[ev_pos], side="left")
-    width = max(1, BLOCK_CELLS // n)
-    work = np.empty((3, min(width, x.shape[1]), n))  # every block's scratch
-    blocks = (np.ascontiguousarray(x[:, lo : lo + width].T) for lo in range(0, x.shape[1], width))
-    return [fit for xt in blocks for fit in _fit_rows(xt, order, ev_pos, risk, work)]
+    fits, work = [], None
+    for _, xt in column_blocks(x, cells=BLOCK_CELLS):
+        if work is None:
+            work = np.empty((3, *xt.shape))  # every block's scratch: the first is the widest
+        fits += _fit_rows(xt, order, ev_pos, risk, work)
+    return fits
 
 
 def cox_univariate(times: np.ndarray, events: np.ndarray, x: np.ndarray) -> CoxFit:

@@ -24,6 +24,10 @@ from .errors import (
 )
 
 
+#: float64 cells in one block of a blockwise pass over the covariates (512 KB)
+BLOCK_CELLS = 1 << 16
+
+
 def fmt_float(x: float) -> str:
     """Shortest decimal representation that round-trips to the same float."""
     return repr(float(x))
@@ -112,6 +116,8 @@ def covariate_summary(
     sum(w (x - mean)^2) / (sum(w) - 1), which is the n-1 divisor when w
     sums to n; rows of weight 0 do not count at all.  ``weights=None``
     gives every row weight 1: the plain means and n-1 divisor variances.
+    The columns are reduced in ``column_blocks``, so no copy of the whole
+    matrix is made.
 
     Constant columns (over the rows that carry weight) are flagged via
     ``CovariateSummary.degenerate`` rather than rejected; downstream scoring
@@ -119,17 +125,38 @@ def covariate_summary(
     """
     weights = np.ones(sample.n) if weights is None else np.asarray(weights, dtype=float)
     carried = weights > 0
-    # reduce along the contiguous axis of the transposed copy so each column
-    # is summed in the same order regardless of how columns are partitioned
-    xt = np.ascontiguousarray(sample.covariates.T[:, carried])
     w = weights[carried]
     total = float(w.sum())
-    means = (xt * w).sum(axis=1) / total
-    variances = ((xt - means[:, None]) ** 2 * w).sum(axis=1) / (total - 1.0)
-    # a constant column has zero variance exactly; do not let mean round-off
-    # leave a 1e-32 residue that would defeat the degeneracy flag
-    variances[(xt == xt[:, :1]).all(axis=1)] = 0.0
+    means, variances = np.empty((2, sample.d))
+    for cols, xt in column_blocks(sample.covariates, rows=carried):
+        means[cols] = (xt * w).sum(axis=1) / total
+        # a constant column has zero variance exactly; do not let mean round-off
+        # leave a 1e-32 residue that would defeat the degeneracy flag
+        constant = (xt == xt[:, :1]).all(axis=1)
+        xt -= means[cols, None]
+        variances[cols] = np.where(constant, 0.0, (xt**2 * w).sum(axis=1) / (total - 1.0))
     return CovariateSummary(means, variances)
+
+
+def block_length(cross: int, cells: int | None = None) -> int:
+    """Rows (or columns) of ``cross`` cells each in one block of at most
+    ``cells`` cells (default ``BLOCK_CELLS``), and at least one."""
+    return max(1, (BLOCK_CELLS if cells is None else cells) // max(cross, 1))
+
+
+def column_blocks(x: np.ndarray, rows: np.ndarray | None = None, cells: int | None = None):
+    """(columns, xt) for consecutive blocks of columns of x, in order.
+
+    ``columns`` is the slice of the block and xt the C-contiguous transpose
+    of ``x[rows, columns]`` (every row when ``rows`` is None), at most
+    ``cells`` cells (default ``BLOCK_CELLS``) and at least one column.  A
+    row of xt is one column in contiguous memory, so a reduction along it
+    gives the same bits however the columns are blocked.
+    """
+    width = block_length(x.shape[0] if rows is None else int(np.count_nonzero(rows)), cells)
+    for lo in range(0, x.shape[1], width):
+        cols = slice(lo, min(lo + width, x.shape[1]))
+        yield cols, np.ascontiguousarray((x[:, cols] if rows is None else x[rows, cols]).T)
 
 
 def parse_cell(cell: str, row: int, column: str, convert=float):
@@ -199,7 +226,10 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
 
     The data rows are parsed in one C pass (``_parsed_table``); a file that
     pass cannot take as it stands is read row by row with ``csv``, which
-    alone decides what such a file holds and which error it gets.
+    alone decides what such a file holds and which error it gets.  When the
+    covariates are one run of columns (as in ``time,status,x1,...``) the
+    sample's covariate matrix is a view of the parsed table; any other
+    layout is copied out of it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -237,9 +267,11 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         raise NonNumericCell(int(bad[0, 0]) + 1, header[bad[0, 1]])
-    # take() gives row-major copies that do not keep the whole table alive
+    lo, hi = cov_idx[0], cov_idx[-1] + 1
+    # covariates in one run of columns stay a view of the table: no second copy
+    covariates = table[:, lo:hi] if hi - lo == len(cov_idx) else table.take(cov_idx, axis=1)
     return SurvivalSample.from_times(
-        table.take(t_idx, axis=1), table.take(s_idx, axis=1), table.take(cov_idx, axis=1), names
+        table.take(t_idx, axis=1), table.take(s_idx, axis=1), covariates, names
     )
 
 

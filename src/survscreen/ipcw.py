@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovariateSummary, SurvivalSample
+from .data import CovariateSummary, SurvivalSample, column_blocks
 from .errors import BadValue, DegenerateOutcome
 
 #: weighted variance at or below this is treated as a degenerate outcome
@@ -138,12 +138,16 @@ def weighted_covariances(
 
     Covariates are centered at ``summary.means`` (the weighted means when
     the summary was taken with the same weights).  Each column is
-    reduced along contiguous memory with a fixed summation order, so
-    partitioning work across columns cannot change a single bit.
+    reduced along contiguous memory with a fixed summation order, in
+    ``column_blocks``, so partitioning work across columns cannot change a
+    single bit.
     """
     wy = weights * (sample.log_times - mean_w)
-    centered_t = np.ascontiguousarray(sample.covariates.T) - summary.means[:, None]
-    return (centered_t * wy).sum(axis=1) / sample.n
+    out = np.empty(sample.d)
+    for cols, xt in column_blocks(sample.covariates):
+        xt -= summary.means[cols, None]
+        out[cols] = (xt * wy).sum(axis=1)
+    return out / sample.n
 
 
 def correlation_vector(

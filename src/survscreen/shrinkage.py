@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
 from .errors import SingularMatrix, TooFewRows
 
 #: eigenvalues at or below this make the shrunk matrix effectively singular
@@ -39,20 +40,33 @@ def _weighted_rows(x: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarra
     p_i = w_i / sum(w), and ``weights=None`` gives every row weight 1.
     Row i is sqrt(p_i) u_i, where u standardizes the covariates by their
     weighted means and weighted variances, so a'a is the correlation matrix
-    of the weighted distribution (constant columns are all-zero).
+    of the weighted distribution (constant columns are all-zero).  The
+    carried rows are copied once and worked on in place: for the variances
+    p @ z**2 the centred copy is squared in place and then filled again, in
+    blocks of rows, and centred again, so the one BLAS product of the plain
+    expression gives the same bits without a second m x d array.
     """
     x = np.asarray(x, dtype=float)
     weights = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    carried = weights > 0
-    if carried.sum() < 3:
-        raise TooFewRows(f"need at least 3 rows of positive weight, got {carried.sum()}")
-    x = x[carried]
+    carried = np.flatnonzero(weights > 0)
+    if carried.size < 3:
+        raise TooFewRows(f"need at least 3 rows of positive weight, got {carried.size}")
+    z = x[carried]
     p = weights[carried] / weights[carried].sum()
-    z = x - p @ x
-    var = p @ z**2
-    ok = (var > 0) & ~(x == x[0]).all(axis=0)
-    z[:, ok] *= 1.0 / np.sqrt(var[ok])
-    z[:, ~ok] = 0.0
+    mean = p @ z
+    constant = (z == z[0]).all(axis=0)
+    z -= mean
+    var = p @ np.square(z, out=z)
+    # gathered in blocks of rows: np.take would first copy all of a strided x
+    step = data.block_length(x.shape[1])
+    for lo in range(0, carried.size, step):
+        z[lo : lo + step] = x[carried[lo : lo + step]]
+    z -= mean
+    ok = (var > 0) & ~constant
+    scale = np.zeros(var.shape)
+    scale[ok] = 1.0 / np.sqrt(var[ok])
+    z[:, ~ok] = 0.0  # +0.0 times 0 stays +0.0, as a negative entry times 0 would not
+    z *= scale
     z *= np.sqrt(p)[:, None]
     return z, p
 
@@ -113,7 +127,9 @@ def shrinkage_lambda(
     identities: sum_{j!=k} sum_i p_i v_ijk^2 = sum_i [(sum_j a_ij^2)^2 -
     sum_j a_ij^4] / p_i and sum_{j!=k} r_jk^2 = ||a'a||_F^2 - sum_j (a'a)_jj^2,
     so the cost is O(m^2 d) when d > m rows carry weight and O(m d^2)
-    otherwise; no d x d pair loop is run.  An all-zero denominator (no
+    otherwise; no d x d pair loop is run.  The squares of a are formed in
+    blocks of rows of about ``data.BLOCK_CELLS`` cells, never all at once,
+    with the same bits as one m x d array.  An all-zero denominator (no
     off-diagonal correlation at all) yields lam = 1 by convention.
     ``whitener_from_data`` passes its prepared rows in place of the
     covariates (and no weights), so they and their Gram are formed once.
@@ -125,9 +141,21 @@ def shrinkage_lambda(
             raise ValueError("shrinkage weight needs at least 2 covariates")
         rows = _GramRows.of(x, weights)
     a, p = rows.a, rows.p
-    sq = a**2
-    v_sq_sum = float(((sq.sum(axis=1) ** 2 - (sq**2).sum(axis=1)) / p).sum())
-    col_sq = sq.sum(axis=0)
+    m, d = a.shape
+    step = data.block_length(d)
+    # row 0 of the buffer carries the column sums of the squares so far and
+    # the squares of the next block of rows follow it: numpy adds the rows of
+    # an axis-0 sum in order, so the sums are those of one m x d array
+    buf = np.zeros((min(step, m) + 1, d))
+    row_sq, row_quad = np.empty((2, m))
+    for lo in range(0, m, step):
+        block = a[lo : lo + step]
+        sq = np.square(block, out=buf[1 : 1 + len(block)])
+        row_sq[lo : lo + len(sq)] = sq.sum(axis=1)
+        row_quad[lo : lo + len(sq)] = (sq**2).sum(axis=1)
+        buf[0] = buf[: 1 + len(sq)].sum(axis=0)
+    v_sq_sum = float(((row_sq**2 - row_quad) / p).sum())
+    col_sq = buf[0]
     cross_sq = float((rows.gram * rows.gram).sum() - (col_sq**2).sum())
     if cross_sq <= 0:
         return 1.0
@@ -246,7 +274,8 @@ def whitener_from_data(
         mu, u = np.linalg.eigh(rows.gram)
         keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)
         mu = mu[keep]
-        basis = (rows.a.T @ u[:, keep]) / np.sqrt(mu)
+        basis = rows.a.T @ u[:, keep]
+        basis /= np.sqrt(mu)
         min_eig = lam  # rank-deficient: the orthogonal complement sits at lam
     if min_eig <= MIN_EIGENVALUE:
         raise SingularMatrix(

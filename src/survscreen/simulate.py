@@ -64,8 +64,10 @@ class ScenarioConfig:
         self.block_magnitudes = tuple(float(m) for m in self.block_magnitudes)
         if len(self.block_magnitudes) != 3:
             raise BadValue("block_magnitudes must have exactly 3 entries")
-        if not all(math.isfinite(m) for m in self.block_magnitudes):
-            raise BadValue(f"block_magnitudes must be finite, got {self.block_magnitudes}")
+        if not all(0.0 <= m < 1.0 for m in self.block_magnitudes):
+            raise BadValue(
+                f"block_magnitudes must be finite and in [0, 1), got {self.block_magnitudes}"
+            )
 
 
 @dataclass

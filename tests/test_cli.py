@@ -307,6 +307,37 @@ def test_bench_non_finite_magnitude_exit_2_without_report(tmp_path, capsys, magn
     assert not report.exists()
 
 
+OUT_OF_RANGE_MAGNITUDES = ["1e308:0.5:0.75", "2:0.5:0.75", "-5:0.5:0.75", "0.25:0.5:1"]
+
+
+@pytest.mark.parametrize("magnitudes", OUT_OF_RANGE_MAGNITUDES)
+def test_bench_magnitude_outside_unit_interval_exit_2_without_report(tmp_path, capsys, magnitudes):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SCENARIO + f"block_magnitudes = {magnitudes}\n")
+    report = tmp_path / "report.csv"
+    code = main(["bench", "--config", str(cfg), "--output", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("survscreen: BadValue: block_magnitudes must be finite and in [0, 1)")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("magnitudes", OUT_OF_RANGE_MAGNITUDES)
+def test_simulate_magnitude_outside_unit_interval_exit_2(tmp_path, capsys, magnitudes):
+    # 1e308 used to end in a LinAlgError traceback from the design projection,
+    # 2 and -5 to be projected without a word
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SCENARIO.replace("d = 30", "d = 12") + f"block_magnitudes = {magnitudes}\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("survscreen: BadValue: block_magnitudes must be finite and in [0, 1)")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
