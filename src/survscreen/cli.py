@@ -31,6 +31,14 @@ def _write_scores(sv: ScoreVector, names: list[str], path) -> None:
     write_table(path, ["name", "score", "rank"], zip(names, sv.scores, ranks.tolist()))
 
 
+def _parse_flag(cell: str, row: int, column: str) -> int:
+    """A 0/1 flag cell; anything else raises a ValidationError."""
+    flag = parse_cell(cell, row, column, int)
+    if flag not in (0, 1):
+        raise ValidationError(f"flag not in {{0, 1}} in data row {row}, column {column!r}")
+    return flag
+
+
 def _read_scores(path) -> tuple[list[str], np.ndarray, list[int]]:
     """Names, scores and the ``selected`` flags (empty without that column)."""
     names, values, flags = [], [], []
@@ -38,7 +46,7 @@ def _read_scores(path) -> tuple[list[str], np.ndarray, list[int]]:
         names.append(rec["name"])
         values.append(parse_cell(rec["score"], i, "score"))
         if "selected" in rec:
-            flags.append(parse_cell(rec["selected"], i, "selected", int))
+            flags.append(_parse_flag(rec["selected"], i, "selected"))
     return names, np.asarray(values), flags
 
 
@@ -47,7 +55,7 @@ def _read_truth(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     for i, rec in read_table(path, ("name", "beta", "influential")):
         names.append(rec["name"])
         beta.append(parse_cell(rec["beta"], i, "beta"))
-        influential.append(parse_cell(rec["influential"], i, "influential", int))
+        influential.append(_parse_flag(rec["influential"], i, "influential"))
     return names, np.asarray(beta), np.asarray(influential, dtype=int)
 
 

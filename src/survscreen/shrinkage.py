@@ -15,9 +15,11 @@ aa' when d > m.  Shrinking maps each eigenvalue mu of R to
 lam + (1 - lam) mu in the same eigendirection, so the inverse square root
 has one form on both routes, b I + V diag(g - b) V' with
 g = (lam + (1 - lam) mu)^-1/2: V holds every eigenvector of R and b = 0
-when d <= m; V holds the nonzero directions a'U mu^-1/2 of
-aa' = U diag(mu) U' and b = lam^-1/2 when d > m, at a cost of O(m^2 d).
-Scoring never forms a d x d inverse square root.
+when d <= m; V holds the nonzero directions a'Q, Q = U mu^-1/2, of
+aa' = U diag(mu) U' and b = lam^-1/2 when d > m.  On that route V is kept
+factored: the whitener holds Q (m x r) and a reference to the rows a, so
+the only arrays of the sample's size are the sample and a, and applying
+it is two passes over a.  Scoring never forms a d x d inverse square root.
 """
 
 from __future__ import annotations
@@ -179,36 +181,48 @@ class InverseSqrtCorrelation:
         W = b I + V diag(g - b) V',
 
     V a d x r matrix of orthonormal eigendirections, g their inverse square
-    root eigenvalues and b the one of the orthogonal complement.  A column
-    that is constant over the rows (``constant``) has correlation 0 with
-    every other column and 1 with itself, so its row and column of W are
-    those of the identity.  An empty V with b = 1 is the exact identity.
+    root eigenvalues and b the one of the orthogonal complement.  V is
+    ``basis`` itself, or ``rows' basis`` when ``rows`` (k x d) is set: then
+    ``basis`` is k x r and V is never formed.  A column that is constant
+    over the rows (``constant``) has correlation 0 with every other column
+    and 1 with itself, so its row and column of W are those of the
+    identity.  An empty V with b = 1 is the exact identity.
     """
 
     background: float
     basis: np.ndarray
     scales: np.ndarray
     constant: np.ndarray
+    rows: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.constant)
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense d x d form (``to_matrix``)."""
         return self.to_matrix()
 
+    def _directions(self, y: np.ndarray) -> np.ndarray:
+        """V y."""
+        return self.basis @ y if self.rows is None else self.rows.T @ (self.basis @ y)
+
+    def _coordinates(self, vec: np.ndarray) -> np.ndarray:
+        """V' vec."""
+        return self.basis.T @ vec if self.rows is None else self.basis.T @ (self.rows @ vec)
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the inverse square root."""
         vec = np.asarray(vec, dtype=float)
         b = self.background
-        out = b * vec + self.basis @ ((self.scales - b) * (self.basis.T @ vec))
+        out = b * vec + self._directions((self.scales - b) * self._coordinates(vec))
         out[self.constant] = vec[self.constant]
         return out
 
     def to_matrix(self) -> np.ndarray:
-        m = (self.basis * (self.scales - self.background)) @ self.basis.T
+        v = self._directions(np.eye(len(self.scales)))
+        m = (v * (self.scales - self.background)) @ v.T
         m[np.diag_indices(self.dim)] += self.background
         m[self.constant, self.constant] = 1.0
         return m
@@ -270,12 +284,13 @@ def whitener_from_data(
         del rows  # freed before eigh takes its workspace: a lower peak heap, fewer page faults
         mu, basis = np.linalg.eigh(corr)
         min_eig = lam + (1.0 - lam) * mu.min()
+        factor = None
     else:
         mu, u = np.linalg.eigh(rows.gram)
         keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)
         mu = mu[keep]
-        basis = rows.a.T @ u[:, keep]
-        basis /= np.sqrt(mu)
+        basis = u[:, keep] / np.sqrt(mu)
+        factor = rows.a  # V = a'basis is kept factored, never formed
         min_eig = lam  # rank-deficient: the orthogonal complement sits at lam
     if min_eig <= MIN_EIGENVALUE:
         raise SingularMatrix(
@@ -284,4 +299,4 @@ def whitener_from_data(
         )
     background = 0.0 if dense else lam**-0.5
     scales = (lam + (1.0 - lam) * mu) ** -0.5
-    return InverseSqrtCorrelation(background, basis, scales, constant), lam, float(min_eig)
+    return InverseSqrtCorrelation(background, basis, scales, constant, factor), lam, float(min_eig)

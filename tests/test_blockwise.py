@@ -159,22 +159,48 @@ def test_whitener_and_cars_score_blocks(monkeypatch, weighted):
         assert outputs() == ref
 
 
-def test_d_above_m_basis_is_the_oneshot_division():
+def test_d_above_m_basis_is_kept_factored(monkeypatch):
+    """V = rows' basis is the one-shot a'U mu^-1/2 with orthonormal columns,
+    and ``rows`` is the weighted-rows array itself, not a copy."""
     sample = block_sample(*SHAPES[1], seed=sum(SHAPES[1]))
     weights = cars.scoring_weights(sample).weights
+    weighted_rows = shrinkage._weighted_rows
+    made = []
+
+    def recorded(x, w):
+        made.append(weighted_rows(x, w))
+        return made[-1]
+
+    monkeypatch.setattr(shrinkage, "_weighted_rows", recorded)
     wh, lam, _ = shrinkage.whitener_from_data(sample.covariates, None, weights)
-    rows = shrinkage._GramRows.of(sample.covariates, weights)
-    assert sample.d > rows.a.shape[0] and lam < 1.0
-    mu, u = np.linalg.eigh(rows.gram)
+    ((a, _),) = made
+    assert sample.d > a.shape[0] and lam < 1.0
+    assert wh.rows is a and np.shares_memory(wh.rows, a)
+    assert wh.basis.shape[0] == a.shape[0] and wh.dim == sample.d
+    mu, u = np.linalg.eigh(a @ a.T)
     keep = mu > mu.max() * 1e-12
-    assert bits(wh.basis) == bits((rows.a.T @ u[:, keep]) / np.sqrt(mu[keep]))
+    v = wh.rows.T @ wh.basis
+    np.testing.assert_allclose(v, (a.T @ u[:, keep]) / np.sqrt(mu[keep]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(keep.sum()), rtol=0, atol=1e-12)
+
+
+def test_apply_is_a_column_of_to_matrix(weighted):
+    """On both routes apply(e_j) is column j of to_matrix(), constant column included."""
+    sample, weights = weighted
+    wh, _, _ = shrinkage.whitener_from_data(sample.covariates, None, weights)
+    assert (wh.rows is None) == (sample.d == 23) and wh.constant[1]
+    dense = wh.to_matrix()
+    assert dense.shape == (sample.d, sample.d)
+    for j in range(sample.d):
+        np.testing.assert_allclose(wh.apply(np.eye(sample.d)[j]), dense[:, j], rtol=0, atol=1e-12)
 
 
 def test_cars_score_peak_memory():
     """cars_score's traced peak stays within 2.5 m·d·8 bytes above its inputs
     on the d > m route (n=120, d=1500), with the covariates a view of the
-    parsed table as the CLI has them: the weighted rows and the whitener
-    basis are the only arrays of that size it makes."""
+    parsed table as the CLI has them: the weighted rows are the only array
+    of that size it makes, and at this size the blocks of
+    ``data.BLOCK_CELLS`` cells weigh about as much again."""
     sample = block_sample(120, 1500, seed=5)
     m = int((cars.scoring_weights(sample).weights > 0).sum())
     assert m < sample.d
@@ -188,3 +214,23 @@ def test_cars_score_peak_memory():
         tracemalloc.stop()
     assert sv.diagnostics["shrinkage"] < 1.0  # the basis is formed
     assert peak <= 2.5 * m * sample.d * 8, peak / (m * sample.d * 8)
+
+
+def test_cars_score_peak_memory_wide():
+    """At n=200, d=4000, where the blocks weigh little, cars_score's traced
+    peak stays within 1.5 m·d·8 bytes: V = a'Q is kept factored, so no d x r
+    basis sits next to the weighted rows (one would take the peak to about
+    2.1 m·d·8)."""
+    sample = block_sample(200, 4000, seed=5)
+    m = int((cars.scoring_weights(sample).weights > 0).sum())
+    assert m < sample.d
+    cars.cars_score(sample)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sv = cars.cars_score(sample)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sv.diagnostics["shrinkage"] < 1.0
+    assert peak <= 1.5 * m * sample.d * 8, peak / (m * sample.d * 8)

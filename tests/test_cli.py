@@ -284,6 +284,26 @@ def test_non_numeric_score_cell_exit_2(tmp_path, capsys, cell):
     assert "NonNumericCell" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["2", "-1", "0.5"])
+@pytest.mark.parametrize("column", ["selected", "influential"])
+def test_evaluate_flag_outside_0_1_exit_2(tmp_path, capsys, column, cell):
+    flags = {"selected": ["1", "0", "0", "1"], "influential": ["1", "0", "1", "0"]}
+    flags[column][2] = cell
+    scores = tmp_path / "scores.csv"
+    scores.write_text("name,score,selected\n" + "".join(
+        f"x{i},{0.9 - i / 10},{flag}\n" for i, flag in enumerate(flags["selected"])))
+    truth = tmp_path / "truth.csv"
+    truth.write_text("name,beta,influential\n" + "".join(
+        f"x{i},{i / 10},{flag}\n" for i, flag in enumerate(flags["influential"])))
+    out = tmp_path / "metrics.csv"
+    code = main(["evaluate", "--scores", str(scores), "--truth", str(truth), "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"data row 3, column {column!r}" in err
+    assert not out.exists()
+
+
 def test_bench_bad_nu_exit_2_without_report(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(SCENARIO)
