@@ -78,7 +78,8 @@ def _fit_rows(xt, order, ev_pos, risk, work) -> list[CoxFit]:
     """One CoxFit per row of xt (covariates x observations in input order);
     ``order`` sorts by time, ``ev_pos`` picks the sorted events."""
     sd = xt.std(axis=1, ddof=1)
-    live = np.flatnonzero(sd != 0)
+    # a constant row is degenerate even when mean round-off leaves sd ~ 1e-16
+    live = np.flatnonzero((sd != 0) & ~(xt == xt[:, :1]).all(axis=1))
     sd, x = sd[live], (xt if live.size == len(xt) else xt[live])
     # fit on the standardized scale; the z score is invariant
     z = x - x.mean(axis=1)[:, None]
@@ -135,7 +136,13 @@ def _fit_rows(xt, order, ev_pos, risk, work) -> list[CoxFit]:
 
 
 def _fit_columns(times, events, x) -> list[CoxFit]:
-    """One CoxFit per column of the n x d matrix x."""
+    """One CoxFit per column of the n x d matrix x.
+
+    A constant column carries no information and gets z = 0 with the
+    "degenerate" flag.  A monotone partial likelihood (perfect separation)
+    caps beta at +-BETA_CAP standard deviations, reports the z score of the
+    capped fit and sets the "separation" flag with converged=False.
+    """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
     n = times.shape[0]
@@ -153,17 +160,6 @@ def _fit_columns(times, events, x) -> list[CoxFit]:
             work = np.empty((3, *xt.shape))  # every block's scratch: the first is the widest
         fits += _fit_rows(xt, order, ev_pos, risk, work)
     return fits
-
-
-def cox_univariate(times: np.ndarray, events: np.ndarray, x: np.ndarray) -> CoxFit:
-    """Fit a one-covariate Cox model and return the standardized coefficient.
-
-    A constant covariate carries no information and returns z = 0 with the
-    "degenerate" flag.  A monotone partial likelihood (perfect separation)
-    caps beta at +-BETA_CAP standard deviations, reports the z score of the
-    capped fit and sets the "separation" flag with converged=False.
-    """
-    return _fit_columns(times, events, np.asarray(x, dtype=float)[:, None])[0]
 
 
 def cox_scores(sample: SurvivalSample) -> ScoreVector:

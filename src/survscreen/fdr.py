@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .cars import ScoreVector
 from .errors import BadValue, DegenerateScores, TooFewScores
@@ -113,7 +112,7 @@ def _truncated_mle(a: np.ndarray, c: float) -> float:
 
     def grad(t: float) -> float:
         u = 1.0 / (t * np.sqrt(2.0))
-        trunc = m * np.sqrt(2.0 / np.pi) * np.exp(-(u**2)) / (t**2 * erf(u))
+        trunc = m * np.sqrt(2.0 / np.pi) * np.exp(-(u**2)) / (t**2 * math.erf(u))
         return m / t - sq_over_c2 / t**3 - trunc
 
     lo, hi = 1.0 / 50.0, 50.0
@@ -157,7 +156,7 @@ def fit_null(scores: np.ndarray) -> tuple[float, float]:
             f"null scale not identified: the half-normal likelihood of the {m} magnitudes "
             f"<= {c2:.6g} rises to the bound of the scale bracket [{c2 / 50:.6g}, {c2 * 50:.6g}]"
         )
-    null_mass_below = float(erf(c2 / (null_scale * np.sqrt(2.0))))
+    null_mass_below = math.erf(c2 / (null_scale * np.sqrt(2.0)))
     eta0 = min(1.0, (m / d) / null_mass_below)
     return eta0, null_scale
 
@@ -213,7 +212,8 @@ def _fdr_curves(a: np.ndarray, at: np.ndarray, eta0: float, null_scale: float) -
     with np.errstate(divide="ignore", invalid="ignore"):
         lfdr = np.where(mixture > 0, null / mixture, 1.0)
     count_ge = np.maximum(d - np.searchsorted(np.sort(a), at, side="left"), 1)
-    fdr = np.minimum(1.0, eta0 * erfc(at / (null_scale * np.sqrt(2.0))) * d / count_ge)
+    tail = np.array([math.erfc(u) for u in (at / (null_scale * np.sqrt(2.0))).tolist()])
+    fdr = np.minimum(1.0, eta0 * tail * d / count_ge)
     return {
         "magnitude": at,
         "null_density": null,

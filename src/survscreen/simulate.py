@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import SurvivalSample
 from .errors import BadDimension, BadFraction, BadValue, TimeOverflow, UnknownField, ZeroSignal
@@ -223,7 +223,7 @@ def calibrate_censoring(signal_variance: float, sigma_log: float, target_rate: f
     censoring probability P(C < T) equals ``target_rate``.
     """
     s2 = signal_variance + sigma_log**2
-    return float(-ndtri(target_rate) * math.sqrt(2.0 * s2))
+    return -statistics.NormalDist().inv_cdf(target_rate) * math.sqrt(2.0 * s2)
 
 
 def population_scores(beta: np.ndarray, corr: np.ndarray, sigma_log: float) -> np.ndarray:

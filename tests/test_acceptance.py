@@ -12,7 +12,6 @@ from scipy.stats import norm
 
 from survscreen import SurvivalSample, cars_score, pr_auc, select
 from survscreen.bench import parse_grid, run_bench, write_report, write_summary
-from survscreen.cox import cox_univariate
 from survscreen.data import covariate_summary
 from survscreen.ipcw import (
     censoring_km,
@@ -25,6 +24,7 @@ from survscreen.ipcw import (
 from survscreen.shrinkage import shrinkage_lambda, whitener_from_data
 from survscreen.simulate import calibrate_censoring, calibrate_noise, nearest_correlation
 
+from helpers import cox_univariate
 from test_cox import breslow_loglik, golden_section_argmax
 from test_ipcw import km_censoring_oracle
 from test_metrics import pr_auc_oracle

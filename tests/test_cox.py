@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from survscreen import SurvivalSample, cox, cox_scores
-from survscreen.cox import cox_univariate
 from survscreen.errors import DegenerateOutcome
+
+from helpers import cox_univariate
 
 
 def breslow_loglik(beta, times, events, x):
@@ -39,6 +40,18 @@ def test_constant_covariate_degenerate():
     fit = cox_univariate([1, 2, 3, 4], [1, 1, 1, 1], [2.0, 2.0, 2.0, 2.0])
     assert fit.z_score == 0.0
     assert fit.flag == "degenerate"
+
+
+@pytest.mark.parametrize("value", [1 / 3, 7.7, 123.456])
+def test_constant_covariate_with_inexact_mean_is_degenerate(value):
+    # these means round, leaving a sample sd of about 1e-16 rather than 0
+    rng = np.random.default_rng(3)
+    times = rng.exponential(size=250)
+    events = (rng.random(250) < 0.8).astype(int)
+    x = np.full(250, value)
+    assert x.std(ddof=1) != 0
+    fit = cox_univariate(times, events, x)
+    assert (fit.flag, fit.z_score, fit.beta_hat, fit.converged) == ("degenerate", 0.0, 0.0, True)
 
 
 def test_four_point_example_matches_score_equation_root():

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.optimize import brentq
+from scipy.special import erf, erfc
 
 from survscreen import fdr, select
 from survscreen.errors import DegenerateScores, TooFewScores
@@ -267,3 +268,19 @@ def test_brentq_raises_without_sign_change_or_convergence():
         _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     with pytest.raises(RuntimeError):
         _brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=2)
+
+
+# fdr takes erf and erfc from the standard library; scipy is the oracle
+ERF_GRID = np.concatenate((np.linspace(0.0, 40.0, 200_001), np.geomspace(1e-12, 40.0, 50_001)))
+
+
+def test_math_erf_matches_scipy():
+    ours = np.array([math.erf(u) for u in ERF_GRID.tolist()])
+    npt.assert_allclose(ours, erf(ERF_GRID), rtol=1e-15, atol=0)
+
+
+def test_math_erfc_matches_scipy():
+    want = erfc(ERF_GRID)
+    keep = want >= 1e-300
+    ours = np.array([math.erfc(u) for u in ERF_GRID[keep].tolist()])
+    npt.assert_allclose(ours, want[keep], rtol=1e-12, atol=0)

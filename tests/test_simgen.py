@@ -1,8 +1,10 @@
 import math
+import statistics
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import ndtri
 
 from survscreen import ScenarioConfig, SurvivalSample, generate_dataset
 from survscreen.simulate import (
@@ -181,6 +183,22 @@ def test_calibrate_censoring_values():
     assert calibrate_censoring(0.5, np.sqrt(0.5), 0.5) == pytest.approx(0.0, abs=1e-12)
     mu_c = calibrate_censoring(0.5, np.sqrt(0.5), 0.25)  # s^2 = 1
     assert mu_c == pytest.approx(0.9539, abs=1e-4)
+
+
+def test_normal_inv_cdf_matches_scipy_ndtri():
+    # calibrate_censoring takes the normal quantile from the standard library
+    tail = np.geomspace(1e-15, 0.5, 20_001)
+    p = np.concatenate((np.linspace(1e-15, 1 - 1e-15, 100_001), tail, 1 - tail))
+    inv_cdf = statistics.NormalDist().inv_cdf
+    ours = np.array([inv_cdf(q) for q in p.tolist()])
+    npt.assert_allclose(ours, ndtri(p), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.5])
+@pytest.mark.parametrize("signal, sigma", [(0.5, math.sqrt(0.5)), (0.6, 0.9), (3.7, 0.05), (1e-3, 12.0)])
+def test_calibrate_censoring_keeps_the_ndtri_bits(signal, sigma, rate):
+    want = float(-ndtri(rate) * math.sqrt(2.0 * (signal + sigma**2)))
+    assert calibrate_censoring(signal, sigma, rate).hex() == want.hex()
 
 
 def test_calibrate_censoring_empirical_rate():
