@@ -37,12 +37,9 @@ import argparse
 import numpy as np
 
 from survscreen import cars_score, cox_scores, pr_auc
-from survscreen.cars import DEFAULT_NU, scoring_weights
+from survscreen.cars import DEFAULT_NU, scoring_weights, weighted_cars_score
 from survscreen.data import covariate_summary
-from survscreen.ipcw import (
-    censoring_km, correlation_vector, ipc_weights, weighted_covariances, weighted_mean,
-    weighted_variance,
-)
+from survscreen.ipcw import censoring_km, ipc_weights
 from survscreen.metrics import rank_correlation
 from survscreen.shrinkage import whitener_from_data
 from survscreen.simulate import (
@@ -59,24 +56,30 @@ UNCENSORED = dict(censoring_rate=1e-12, cutoff_quantile=1.0)
 def ipc_scores(sample, lam, weighting):
     """IPC-weighted scores and their weights.
 
-    weighting "mixed": raw event weights, unweighted covariate moments and
-    whitener; "events": event weights rescaled to sum to n for every
-    moment; "tail": ``scoring_weights`` (events plus the rows censored at
-    the largest time, Efron's tail rule) for every moment, as ``cars_score``.
+    weighting "mixed": raw event weights for the outcome moments (divided
+    by n), with the unweighted covariate moments and whitener; "events":
+    event weights rescaled to sum to n for every moment; "tail":
+    ``scoring_weights`` (events plus the rows censored at the largest time,
+    Efron's tail rule) for every moment, as ``cars_score``.  The last two
+    are ``weighted_cars_score`` with those weights.
     """
     if weighting == "tail":
         w = scoring_weights(sample).weights
     else:
         w = ipc_weights(sample, censoring_km(sample), DEFAULT_NU).weights
-        if weighting == "events":
-            w = w * (sample.n / w.sum())
-    one = None if weighting == "mixed" else w
-    summary = covariate_summary(sample, one)
-    m = weighted_mean(sample, w)
-    r = correlation_vector(
-        weighted_covariances(sample, w, m, summary), summary, weighted_variance(sample, w, m)
+    if weighting == "events":
+        w = w * (sample.n / w.sum())
+    if weighting != "mixed":
+        return weighted_cars_score(sample, w, lam).scores, w
+    x, n = sample.covariates, sample.n
+    summary = covariate_summary(x)
+    y = sample.log_times - w @ sample.log_times / n
+    ok = ~summary.degenerate
+    r = np.zeros(sample.d)
+    r[ok] = ((x[:, ok] - summary.means[ok]).T @ (w * y) / n) / np.sqrt(
+        summary.variances[ok] * (w @ y**2 / n)
     )
-    whitener, _, _ = whitener_from_data(sample.covariates, lam, one)
+    whitener, _, _ = whitener_from_data(x, lam)
     theta = whitener.apply(r)
     theta[summary.degenerate] = 0.0
     return theta, w

@@ -19,6 +19,10 @@ shrinkage their squared norm is (n-1)/n times the R^2 of the weighted
 least-squares regression of log time on the covariates, which keeps it
 below 1.  Without censoring every weight is 1 and the estimate is the
 unweighted one.
+
+The covariate moments are taken in one pass (``data.covariate_summary``),
+and the correlation vector, the shrinkage weight and the whitener all come
+from the rows standardized by them (``weighted_cars_score``).
 """
 
 from __future__ import annotations
@@ -27,20 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalSample, covariate_summary
+from .data import SurvivalSample
 from .errors import BadValue, DegenerateOutcome
-from .ipcw import (
-    IpcWeightSet,
-    censoring_km,
-    correlation_vector,
-    ipc_weights,
-    weighted_covariances,
-    weighted_mean,
-    weighted_variance,
-)
-from .shrinkage import whitener_from_data
+from .ipcw import IpcWeightSet, censoring_km, ipc_weights
+from .shrinkage import WeightedRows, whitener_from_data
 
 DEFAULT_NU = 1e-6
+
+#: weighted outcome variance at or below this is treated as a degenerate outcome
+VARIANCE_FLOOR = 1e-14
 
 
 @dataclass
@@ -70,6 +69,46 @@ def scoring_weights(sample: SurvivalSample, nu: float = DEFAULT_NU) -> IpcWeight
     return IpcWeightSet(weights * (sample.n / weights.sum()), nu, ws.floor_applied or g_end < nu)
 
 
+def weighted_cars_score(
+    sample: SurvivalSample,
+    weights: np.ndarray,
+    lambda_override: float | None = None,
+) -> ScoreVector:
+    """CARS scores of the distribution that gives row i the share w_i / sum(w).
+
+    The weighted rows a (``WeightedRows``) are formed once.  With p their
+    shares and y~ the p-weighted standardized log time, the correlation
+    vector is r = sqrt((sum(w) - 1) / sum(w)) a'(sqrt(p) y~): each weighted
+    covariance over the sum(w) - 1 divisor covariate standard deviation and
+    the sum(w) divisor outcome one, so |r_j| <= sqrt((n-1)/n) when w sums
+    to n.  The same rows give lam (unless ``lambda_override`` is given) and
+    the whitener.  Constant covariates score exactly 0; an outcome variance
+    at most ``VARIANCE_FLOOR`` raises DegenerateOutcome.
+    """
+    if lambda_override is not None and not 0.0 <= lambda_override <= 1.0:
+        raise BadValue("lambda_override must be in [0, 1]")
+    weights = np.asarray(weights, dtype=float)
+    carried = weights > 0
+    rows = WeightedRows.of(sample.covariates, weights)
+    y = sample.log_times[carried]
+    y = y - rows.p @ y
+    var_y = float(rows.p @ y**2)
+    if var_y <= VARIANCE_FLOOR:
+        raise DegenerateOutcome(f"weighted outcome variance {var_y:.3e} is not positive")
+    total = float(weights[carried].sum())
+    corr = np.sqrt((total - 1.0) / total) * (rows.a.T @ (np.sqrt(rows.p) * (y / np.sqrt(var_y))))
+
+    whitener, lam_used, min_eig = whitener_from_data(rows, lambda_override)
+    theta = whitener.apply(corr)
+    theta[rows.constant] = 0.0
+    return ScoreVector(
+        theta,
+        "cars",
+        names=sample.covariate_names,
+        diagnostics={"shrinkage": lam_used, "min_eigenvalue": min_eig, "degenerate": rows.constant},
+    )
+
+
 def cars_score(
     sample: SurvivalSample,
     nu: float = DEFAULT_NU,
@@ -77,10 +116,9 @@ def cars_score(
 ) -> ScoreVector:
     """CARS scores for every covariate of the sample.
 
-    Pipeline: censoring Kaplan-Meier -> ``scoring_weights`` -> weighted
-    moments -> correlation vector -> shrinkage whitening with the
-    weighted correlation matrix.  The shrinkage weight is estimated from
-    the same weighted rows unless ``lambda_override`` is given
+    Pipeline: censoring Kaplan-Meier -> ``scoring_weights`` ->
+    ``weighted_cars_score``.  The shrinkage weight is estimated from the
+    weighted rows unless ``lambda_override`` is given
     (``lambda_override=1`` yields identity whitening, i.e. plain marginal
     correlations).
 
@@ -93,33 +131,10 @@ def cars_score(
         raise DegenerateOutcome("sample contains no observed events")
     if np.unique(sample.log_times[is_event]).size < 2:
         raise DegenerateOutcome("all observed events share a single time")
-    if lambda_override is not None and not 0.0 <= lambda_override <= 1.0:
-        raise BadValue("lambda_override must be in [0, 1]")
-
     ws = scoring_weights(sample, nu)
-    summary = covariate_summary(sample, ws.weights)
-    mean_w = weighted_mean(sample, ws.weights)
-    var_w = weighted_variance(sample, ws.weights, mean_w)
-    covs = weighted_covariances(sample, ws.weights, mean_w, summary)
-    corr = correlation_vector(covs, summary, var_w)
-
-    whitener, lam_used, min_eig = whitener_from_data(sample.covariates, lambda_override, ws.weights)
-    theta = whitener.apply(corr)
-    degenerate = summary.degenerate
-    theta[degenerate] = 0.0
-
-    return ScoreVector(
-        theta,
-        "cars",
-        names=sample.covariate_names,
-        diagnostics={
-            "shrinkage": lam_used,
-            "min_eigenvalue": min_eig,
-            "nu": ws.nu,
-            "floor_applied": ws.floor_applied,
-            "degenerate": degenerate,
-        },
-    )
+    scored = weighted_cars_score(sample, ws.weights, lambda_override)
+    scored.diagnostics.update(nu=ws.nu, floor_applied=ws.floor_applied)
+    return scored
 
 
 def rank_by_magnitude(scores: ScoreVector | np.ndarray) -> np.ndarray:

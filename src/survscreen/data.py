@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadValue,
     MissingColumn,
     NonBinaryStatus,
     NonNumericCell,
@@ -107,28 +108,32 @@ class CovariateSummary:
         return self.variances == 0.0
 
 
-def covariate_summary(
-    sample: SurvivalSample, weights: np.ndarray | None = None
-) -> CovariateSummary:
-    """Per-covariate means and variances of a weighted distribution.
+def covariate_summary(x: np.ndarray, weights: np.ndarray | None = None) -> CovariateSummary:
+    """Per-column means and variances of the covariates x (n x d) under a
+    weighted distribution.
 
     With weights w the means are sum(w x) / sum(w) and the variances
     sum(w (x - mean)^2) / (sum(w) - 1), which is the n-1 divisor when w
-    sums to n; rows of weight 0 do not count at all.  ``weights=None``
-    gives every row weight 1: the plain means and n-1 divisor variances.
-    The columns are reduced in ``column_blocks``, so no copy of the whole
-    matrix is made.
+    sums to n; rows of weight 0 do not count at all, and the weights must
+    sum to more than 1.  ``weights=None`` gives every row weight 1: the
+    plain means and n-1 divisor variances.  The columns are reduced in
+    ``column_blocks``, so no copy of the whole matrix is made.  This is the
+    one pass that takes the moments of the covariates for CARS: the
+    weighted rows of ``shrinkage`` are standardized from it.
 
     Constant columns (over the rows that carry weight) are flagged via
     ``CovariateSummary.degenerate`` rather than rejected; downstream scoring
     assigns them score 0.
     """
-    weights = np.ones(sample.n) if weights is None else np.asarray(weights, dtype=float)
+    x = np.asarray(x, dtype=float)
+    weights = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
     carried = weights > 0
     w = weights[carried]
     total = float(w.sum())
-    means, variances = np.empty((2, sample.d))
-    for cols, xt in column_blocks(sample.covariates, rows=carried):
+    if not total > 1.0:
+        raise BadValue(f"weights must sum to more than 1, got {total}")
+    means, variances = np.empty((2, x.shape[1]))
+    for cols, xt in column_blocks(x, rows=carried):
         means[cols] = (xt * w).sum(axis=1) / total
         # a constant column has zero variance exactly; do not let mean round-off
         # leave a 1e-32 residue that would defeat the degeneracy flag

@@ -1,21 +1,16 @@
-"""Kaplan-Meier censoring curve and IPC-weighted moment estimators.
+"""Kaplan-Meier censoring curve and inverse-probability-of-censoring weights.
 
 The censoring survivor function G is estimated by the product-limit
 formula applied with the event/censoring roles swapped.  Observed events
 then receive weight 1/G at their own time and censored observations
-weight 0, which corrects the moment estimators for censoring bias.
+weight 0, which corrects moment estimators for censoring bias.
 
-The weighted outcome moments divide by n (not by the sum of weights) and
-covariate variances by n-1, so together they describe one weighted
-distribution only when the weights sum to n.  Unit weights do; raw IPC
-weights of a censored sample sum to less than n when the largest time is
-censored or the positivity floor acts, and then the weighted mean is
-pulled toward 0 and every moment depends on the unit of time.  CARS
-scoring therefore also counts the rows censored at the largest time
-(Efron's tail rule, see ``cars``), rescales the weights to sum to n and
-takes the covariate means, variances and correlations from the same
-weights, which bounds every correlation by sqrt((n-1)/n) in absolute
-value.
+Raw IPC weights of a censored sample sum to less than n when the largest
+time is censored or the positivity floor acts.  CARS scoring therefore
+also counts the rows censored at the largest time (Efron's tail rule),
+rescales the weights to sum to n and takes every moment, of the outcome
+and of the covariates, from that one weighted distribution (see
+``cars``).
 """
 
 from __future__ import annotations
@@ -24,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovariateSummary, SurvivalSample, column_blocks
-from .errors import BadValue, DegenerateOutcome
-
-#: weighted variance at or below this is treated as a degenerate outcome
-VARIANCE_FLOOR = 1e-14
+from .data import SurvivalSample
+from .errors import BadValue
 
 
 @dataclass
@@ -107,61 +99,3 @@ def ipc_weights(sample: SurvivalSample, curve: CensoringSurvivorCurve, nu: float
     weights = np.where(is_event, 1.0 / np.maximum(g, nu), 0.0)
     floor_applied = bool(np.any(is_event & (g < nu)))
     return IpcWeightSet(weights, nu, floor_applied)
-
-
-def weighted_mean(sample: SurvivalSample, weights: np.ndarray) -> float:
-    """(1/n) sum of w_i * log t_i; the divisor is n, not sum(w)."""
-    return float(np.sum(weights * sample.log_times) / sample.n)
-
-
-def weighted_variance(sample: SurvivalSample, weights: np.ndarray, mean_w: float) -> float:
-    """(1/n) sum of w_i (log t_i - mean_w)^2.
-
-    Raises DegenerateOutcome when the spread of observed events is
-    numerically zero (all events at a single time).
-    """
-    value = float(np.sum(weights * (sample.log_times - mean_w) ** 2) / sample.n)
-    if value <= VARIANCE_FLOOR:
-        raise DegenerateOutcome(
-            f"weighted outcome variance {value:.3e} is not positive"
-        )
-    return value
-
-
-def weighted_covariances(
-    sample: SurvivalSample,
-    weights: np.ndarray,
-    mean_w: float,
-    summary: CovariateSummary,
-) -> np.ndarray:
-    """IPC-weighted covariance of each covariate with the log outcome.
-
-    Covariates are centered at ``summary.means`` (the weighted means when
-    the summary was taken with the same weights).  Each column is
-    reduced along contiguous memory with a fixed summation order, in
-    ``column_blocks``, so partitioning work across columns cannot change a
-    single bit.
-    """
-    wy = weights * (sample.log_times - mean_w)
-    out = np.empty(sample.d)
-    for cols, xt in column_blocks(sample.covariates):
-        xt -= summary.means[cols, None]
-        out[cols] = (xt * wy).sum(axis=1)
-    return out / sample.n
-
-
-def correlation_vector(
-    covariances: np.ndarray, summary: CovariateSummary, var_w: float
-) -> np.ndarray:
-    """Per-covariate correlation with the log outcome.
-
-    Zero-variance covariates map to 0.  Nothing is clamped: with the
-    summary and the outcome moments taken from one set of weights summing
-    to n, every value is at most sqrt((n-1)/n) in absolute value.
-    """
-    if var_w <= 0:
-        raise DegenerateOutcome("weighted outcome variance must be positive")
-    out = np.zeros_like(covariances, dtype=float)
-    ok = summary.variances > 0
-    out[ok] = covariances[ok] / (np.sqrt(summary.variances[ok]) * np.sqrt(var_w))
-    return out

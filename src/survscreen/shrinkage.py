@@ -8,12 +8,13 @@ summed squares (the Ledoit-Wolf-style plug-in of Schaefer & Strimmer).
 Every function takes R and lam from one set of rows: each row of positive
 weight w_i enters with share w_i / sum(w), and rows of weight 0 drop out.
 Without weights every row has weight 1, which is the plain sample
-estimator.  The weighted standardized rows a (m x d, m the number of rows
-of positive weight) and one Gram matrix of them are formed once per
-whitener: a'a, the correlation matrix, when d <= m, and the m x m matrix
-aa' when d > m.  Shrinking maps each eigenvalue mu of R to
-lam + (1 - lam) mu in the same eigendirection, so the inverse square root
-has one form on both routes, b I + V diag(g - b) V' with
+estimator.  The weighted standardized rows a (``WeightedRows``, m x d, m
+the number of rows of positive weight, standardized by the moments of
+``data.covariate_summary``) and one Gram matrix of them, shared by lam and
+the whitener, are formed once: a'a, the correlation matrix, when d <= m,
+and the m x m matrix aa' when d > m.  Shrinking maps each eigenvalue mu of
+R to lam + (1 - lam) mu in the same eigendirection, so the inverse square
+root has one form on both routes, b I + V diag(g - b) V' with
 g = (lam + (1 - lam) mu)^-1/2: V holds every eigenvector of R and b = 0
 when d <= m; V holds the nonzero directions a'Q, Q = U mu^-1/2, of
 aa' = U diag(mu) U' and b = lam^-1/2 when d > m.  On that route V is kept
@@ -25,6 +26,7 @@ it is two passes over a.  Scoring never forms a d x d inverse square root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,34 +41,26 @@ def _weighted_rows(x: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarra
     """Rows a with a'a the weighted correlation matrix, and their shares p.
 
     Only rows of positive weight are kept; their shares are
-    p_i = w_i / sum(w), and ``weights=None`` gives every row weight 1.
-    Row i is sqrt(p_i) u_i, where u standardizes the covariates by their
-    weighted means and weighted variances, so a'a is the correlation matrix
-    of the weighted distribution (constant columns are all-zero).  The
-    carried rows are copied once and worked on in place: for the variances
-    p @ z**2 the centred copy is squared in place and then filled again, in
-    blocks of rows, and centred again, so the one BLAS product of the plain
-    expression gives the same bits without a second m x d array.
+    p_i = w_i / sum(w), and ``weights=None`` gives every row weight 1;
+    the weights must sum to more than 1, as ``data.covariate_summary``
+    needs.  Row i is sqrt(p_i) u_i, where u standardizes the covariates by the
+    weighted means and variances of ``data.covariate_summary``, the latter
+    times (sum(w) - 1) / sum(w) for the divisor sum(w), so a'a is the
+    correlation matrix of the weighted distribution (constant columns are
+    all-zero).  The carried rows are copied once and worked on in place.
     """
     x = np.asarray(x, dtype=float)
     weights = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    summary = data.covariate_summary(x, weights)
     carried = np.flatnonzero(weights > 0)
-    if carried.size < 3:
-        raise TooFewRows(f"need at least 3 rows of positive weight, got {carried.size}")
-    z = x[carried]
-    p = weights[carried] / weights[carried].sum()
-    mean = p @ z
-    constant = (z == z[0]).all(axis=0)
-    z -= mean
-    var = p @ np.square(z, out=z)
-    # gathered in blocks of rows: np.take would first copy all of a strided x
-    step = data.block_length(x.shape[1])
-    for lo in range(0, carried.size, step):
-        z[lo : lo + step] = x[carried[lo : lo + step]]
-    z -= mean
-    ok = (var > 0) & ~constant
+    total = float(weights[carried].sum())
+    p = weights[carried] / total
+    var = summary.variances * ((total - 1.0) / total)
+    ok = var > 0  # constant columns have variance exactly 0
     scale = np.zeros(var.shape)
     scale[ok] = 1.0 / np.sqrt(var[ok])
+    z = x[carried]
+    z -= summary.means
     z[:, ~ok] = 0.0  # +0.0 times 0 stays +0.0, as a negative entry times 0 would not
     z *= scale
     z *= np.sqrt(p)[:, None]
@@ -74,18 +68,36 @@ def _weighted_rows(x: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarra
 
 
 @dataclass
-class _GramRows:
-    """``_weighted_rows`` of the covariates with their one Gram matrix:
-    a'a when d <= m, aa' when d > m, for a of shape m x d."""
+class WeightedRows:
+    """``_weighted_rows`` of the covariates (a, m x d) with their shares p.
+
+    ``gram`` is their one Gram matrix, a'a when d <= m and aa' when d > m,
+    formed on first use: only the shrinkage weight and the whitener use it,
+    and they need at least 3 rows of positive weight.  ``constant`` flags
+    the columns that are constant over those rows, the all-zero columns.
+    """
 
     a: np.ndarray
     p: np.ndarray
-    gram: np.ndarray
 
     @classmethod
-    def of(cls, x: np.ndarray, weights: np.ndarray | None) -> _GramRows:
-        a, p = _weighted_rows(x, weights)
-        return cls(a, p, a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T)
+    def of(cls, x: np.ndarray, weights: np.ndarray | None = None) -> WeightedRows:
+        return cls(*_weighted_rows(x, weights))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        m, d = self.a.shape
+        _need_three_rows(m)
+        return self.a.T @ self.a if d <= m else self.a @ self.a.T
+
+    @cached_property
+    def constant(self) -> np.ndarray:
+        return ~self.a.any(axis=0)
+
+
+def _need_three_rows(m: int) -> None:
+    if m < 3:
+        raise TooFewRows(f"need at least 3 rows of positive weight, got {m}")
 
 
 def _unit_diagonal(gram: np.ndarray) -> np.ndarray:
@@ -105,11 +117,12 @@ def sample_correlations(covariates: np.ndarray) -> np.ndarray:
     ``whitener_from_data`` keeps.
     """
     a, _ = _weighted_rows(covariates, None)
+    _need_three_rows(len(a))
     return _unit_diagonal(a.T @ a)
 
 
 def shrinkage_lambda(
-    covariates: np.ndarray | _GramRows, weights: np.ndarray | None = None
+    covariates: np.ndarray | WeightedRows, weights: np.ndarray | None = None
 ) -> float:
     """Data-driven shrinkage weight in [0, 1], Schaefer & Strimmer's weighted form.
 
@@ -133,15 +146,15 @@ def shrinkage_lambda(
     blocks of rows of about ``data.BLOCK_CELLS`` cells, never all at once,
     with the same bits as one m x d array.  An all-zero denominator (no
     off-diagonal correlation at all) yields lam = 1 by convention.
-    ``whitener_from_data`` passes its prepared rows in place of the
-    covariates (and no weights), so they and their Gram are formed once.
+    ``whitener_from_data`` passes its prepared ``WeightedRows`` in place of
+    the covariates (and no weights), so they and their Gram are formed once.
     """
     rows = covariates
-    if not isinstance(rows, _GramRows):
+    if not isinstance(rows, WeightedRows):
         x = np.asarray(covariates, dtype=float)
         if x.shape[1] < 2:
             raise ValueError("shrinkage weight needs at least 2 covariates")
-        rows = _GramRows.of(x, weights)
+        rows = WeightedRows.of(x, weights)
     a, p = rows.a, rows.p
     m, d = a.shape
     step = data.block_length(d)
@@ -253,35 +266,38 @@ def inverse_sqrt(shrunk: ShrinkageCorrelation) -> InverseSqrtCorrelation:
 
 
 def whitener_from_data(
-    covariates: np.ndarray,
+    covariates: np.ndarray | WeightedRows,
     lam: float | None = None,
     weights: np.ndarray | None = None,
 ) -> tuple[InverseSqrtCorrelation, float, float]:
-    """Inverse square root of the shrunk correlation, built from raw data.
+    """Inverse square root of the shrunk correlation, built from raw data or
+    from prepared rows.
 
     Returns (whitener, lam_used, min_eigenvalue).  R and the estimated lam
     are those of the weighted distribution over the m rows of positive
     weight (every row, with weight 1, when ``weights`` is None), both from
-    one ``_GramRows``; the module docstring gives the two routes.  With
-    lam = 1 or fewer than 2 covariates the whitener is the exact identity,
-    an empty V with b = 1, and no rows are formed (lam_used is 0 when a
-    single covariate leaves it unestimated).
+    one ``WeightedRows``: the one given in place of the covariates (then
+    ``weights`` is ignored), or one formed here.  The module docstring
+    gives the two routes.  With lam = 1 or fewer than 2 covariates the
+    whitener is the exact identity, an empty V with b = 1, and neither rows
+    nor a Gram matrix are formed (lam_used is 0 when a single covariate
+    leaves it unestimated).
     """
-    x = np.asarray(covariates, dtype=float)
+    given = isinstance(covariates, WeightedRows)
+    x = covariates.a if given else np.asarray(covariates, dtype=float)
     d = x.shape[1]
     if d >= 2 and lam != 1.0:
-        rows = _GramRows.of(x, weights)
+        rows = covariates if given else WeightedRows.of(x, weights)
         if lam is None:
             lam = shrinkage_lambda(rows)
     if d < 2 or lam == 1.0:
         identity = InverseSqrtCorrelation(1.0, np.empty((d, 0)), np.empty(0), np.zeros(d, dtype=bool))
         return identity, (0.0 if lam is None else lam), 1.0
 
-    constant = ~rows.a.any(axis=0)
+    constant = rows.constant
     dense = d <= rows.a.shape[0]
     if dense:
         corr = _unit_diagonal(rows.gram)
-        del rows  # freed before eigh takes its workspace: a lower peak heap, fewer page faults
         mu, basis = np.linalg.eigh(corr)
         min_eig = lam + (1.0 - lam) * mu.min()
         factor = None

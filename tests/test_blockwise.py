@@ -16,7 +16,8 @@ import pytest
 
 from survscreen import cars, data, shrinkage
 from survscreen.data import SurvivalSample, covariate_summary
-from survscreen.ipcw import weighted_covariances, weighted_mean
+
+from helpers import weighted_covariances, weighted_mean
 
 BUDGETS = [1, 7, 97, 1001]
 ONE_BLOCK = 1 << 40
@@ -40,6 +41,23 @@ def covariances_oneshot(sample, weights, mean_w, means):
 
 
 def weighted_rows_oneshot(x, weights):
+    """Standardized by the one-shot summary, its variances times (sum(w) - 1) / sum(w)."""
+    means, variances = summary_oneshot(x, weights)
+    carried = weights > 0
+    total = weights[carried].sum()
+    p = weights[carried] / total
+    var = variances * ((total - 1.0) / total)
+    ok = var > 0
+    z = x[carried] - means
+    z[:, ok] *= 1.0 / np.sqrt(var[ok])
+    z[:, ~ok] = 0.0
+    z *= np.sqrt(p)[:, None]
+    return z, p
+
+
+def weighted_rows_own_moments(x, weights):
+    """Standardized by its own p-weighted moments (BLAS products): an
+    independent form of the same rows, equal up to rounding."""
     carried = weights > 0
     x = x[carried]
     p = weights[carried] / weights[carried].sum()
@@ -48,8 +66,7 @@ def weighted_rows_oneshot(x, weights):
     ok = (var > 0) & ~(x == x[0]).all(axis=0)
     z[:, ok] *= 1.0 / np.sqrt(var[ok])
     z[:, ~ok] = 0.0
-    z *= np.sqrt(p)[:, None]
-    return z, p
+    return z * np.sqrt(p)[:, None]
 
 
 def lambda_oneshot(a, p, gram):
@@ -104,7 +121,7 @@ def test_covariate_summary_blocks(monkeypatch, weighted, cells):
     sample, weights = weighted
     monkeypatch.setattr(data, "BLOCK_CELLS", cells)
     for w in (weights, None):
-        got = covariate_summary(sample, w)
+        got = covariate_summary(sample.covariates, w)
         ref = summary_oneshot(sample.covariates, np.ones(sample.n) if w is None else w)
         assert bits(got.means, got.variances) == bits(*ref)
     assert got.degenerate[1] and got.degenerate.sum() == 1
@@ -113,7 +130,7 @@ def test_covariate_summary_blocks(monkeypatch, weighted, cells):
 @pytest.mark.parametrize("cells", BUDGETS)
 def test_weighted_covariances_blocks(monkeypatch, weighted, cells):
     sample, weights = weighted
-    summary = covariate_summary(sample, weights)
+    summary = covariate_summary(sample.covariates, weights)
     mean_w = weighted_mean(sample, weights)
     monkeypatch.setattr(data, "BLOCK_CELLS", cells)
     got = weighted_covariances(sample, weights, mean_w, summary)
@@ -127,15 +144,17 @@ def test_weighted_rows_in_place(weighted):
     for x in (sample.covariates, np.ascontiguousarray(sample.covariates)):
         for w in (weights, None):
             a, p = shrinkage._weighted_rows(x, w)
-            ref = weighted_rows_oneshot(x, np.ones(sample.n) if w is None else w)
+            full = np.ones(sample.n) if w is None else w
+            ref = weighted_rows_oneshot(x, full)
             assert bits(a, p) == bits(*ref)
+            np.testing.assert_allclose(a, weighted_rows_own_moments(x, full), rtol=0, atol=1e-14)
             assert a.flags.c_contiguous and not np.signbit(a[:, 1]).any()
 
 
 @pytest.mark.parametrize("cells", BUDGETS)
 def test_shrinkage_lambda_blocks(monkeypatch, weighted, cells):
     sample, weights = weighted
-    rows = shrinkage._GramRows.of(sample.covariates, weights)
+    rows = shrinkage.WeightedRows.of(sample.covariates, weights)
     ref = lambda_oneshot(rows.a, rows.p, rows.gram)
     assert 0.0 < ref < 1.0
     monkeypatch.setattr(data, "BLOCK_CELLS", cells)

@@ -3,19 +3,19 @@ import numpy.testing as npt
 import pytest
 
 from survscreen import SurvivalSample, cars_score, rank_by_magnitude
-from survscreen.cars import scoring_weights
+from survscreen.cars import scoring_weights, weighted_cars_score
 from survscreen.data import covariate_summary
-from survscreen.errors import DegenerateOutcome
-from survscreen.ipcw import (
-    censoring_km,
+from survscreen.errors import DegenerateOutcome, TooFewRows
+from survscreen.ipcw import censoring_km, ipc_weights
+from survscreen.shrinkage import whitener_from_data
+
+from helpers import (
     correlation_vector,
-    ipc_weights,
+    oracle_correlations,
     weighted_covariances,
     weighted_mean,
     weighted_variance,
 )
-from survscreen.shrinkage import whitener_from_data
-
 from test_ipcw import km_censoring_oracle
 
 
@@ -41,16 +41,15 @@ def censored_sample(rng, n, d, beta, sigma, censoring=0.25):
 
 def all_ones_pipeline(sample, lambda_override=None):
     """Reference CAR pipeline with unit weights, bypassing the censoring KM."""
-    weights = np.ones(sample.n)
-    summ = covariate_summary(sample)
-    m = weighted_mean(sample, weights)
-    v = weighted_variance(sample, weights, m)
-    covs = weighted_covariances(sample, weights, m, summ)
-    r = correlation_vector(covs, summ, v)
-    w, _, _ = whitener_from_data(sample.covariates, lambda_override)
-    theta = w.apply(r)
-    theta[summ.degenerate] = 0.0
-    return theta
+    return weighted_cars_score(sample, np.ones(sample.n), lambda_override).scores
+
+
+def assert_near_moment_oracle(scores, sample, weights, lambda_override=None):
+    """The scores against r of the moment estimators, whitened by the same
+    whitener, within 1e-12 of the largest |r|."""
+    r = oracle_correlations(sample, weights)
+    w, _, _ = whitener_from_data(sample.covariates, lambda_override, weights)
+    npt.assert_allclose(scores, w.apply(r), rtol=0, atol=1e-12 * np.abs(r).max())
 
 
 def test_single_covariate_is_scaled_pearson():
@@ -69,11 +68,8 @@ def test_single_covariate_score_is_its_marginal_correlation_bitwise(lambda_overr
     s = censored_sample(rng, 50, 1, np.array([0.7]), 1.0)
     sv = cars_score(s, lambda_override=lambda_override)
     w = scoring_weights(s).weights
-    summ = covariate_summary(s, w)
-    m = weighted_mean(s, w)
-    v = weighted_variance(s, w, m)
-    r = correlation_vector(weighted_covariances(s, w, m, summ), summ, v)
-    npt.assert_array_equal(sv.scores, r)
+    npt.assert_array_equal(sv.scores, weighted_cars_score(s, w, 1.0).scores)
+    assert_near_moment_oracle(sv.scores, s, w, 1.0)
     assert sv.diagnostics["shrinkage"] == lam_used and sv.diagnostics["min_eigenvalue"] == 1.0
 
 
@@ -81,12 +77,8 @@ def test_identity_whitening_gives_marginal_correlations():
     rng = np.random.default_rng(1)
     s = uncensored_sample(rng, 60, 4, beta=[1.0, 0.0, -0.5, 0.0])
     sv = cars_score(s, lambda_override=1.0)
-    summ = covariate_summary(s)
-    m = weighted_mean(s, np.ones(s.n))
-    v = weighted_variance(s, np.ones(s.n), m)
-    covs = weighted_covariances(s, np.ones(s.n), m, summ)
-    r = correlation_vector(covs, summ, v)
-    npt.assert_array_equal(sv.scores, r)
+    npt.assert_array_equal(sv.scores, all_ones_pipeline(s, 1.0))
+    assert_near_moment_oracle(sv.scores, s, np.ones(s.n), 1.0)
     assert sv.diagnostics["shrinkage"] == 1.0
 
 
@@ -97,6 +89,7 @@ def test_no_censoring_equals_unit_weight_pipeline_bitwise():
         sv = cars_score(s)
         reference = all_ones_pipeline(s)
         npt.assert_array_equal(sv.scores, reference)
+        assert_near_moment_oracle(sv.scores, s, np.ones(s.n))
 
 
 def test_degenerate_columns_score_exactly_zero():
@@ -108,6 +101,22 @@ def test_degenerate_columns_score_exactly_zero():
     sv = cars_score(s)
     assert sv.scores[1] == 0.0
     assert sv.diagnostics["degenerate"][1]
+
+
+def test_two_weighted_rows_need_no_lambda_or_whitener():
+    # events at the smallest and the largest of five times: two rows carry
+    # weight, too few for a shrinkage weight or a whitener, yet enough for
+    # the marginal correlations, each +-sqrt((n-1)/n) or 0 (constant there)
+    times = np.arange(1.0, 6.0)
+    events = np.array([1, 0, 0, 0, 1])
+    x = np.array([[1.0, 2, 3, 4, 0], [0.0, 5, 5, 5, 1], [2.0, 9, 9, 9, 2]]).T
+    edge = np.sqrt(4 / 5)
+    one = SurvivalSample.from_times(times, events, x[:, :1])
+    npt.assert_allclose(cars_score(one).scores, [-edge], rtol=1e-15)
+    wide = SurvivalSample.from_times(times, events, x)
+    npt.assert_allclose(cars_score(wide, lambda_override=1.0).scores, [-edge, edge, 0.0], rtol=1e-15)
+    with pytest.raises(TooFewRows):
+        cars_score(wide)
 
 
 def test_no_events_raises():
@@ -270,7 +279,7 @@ def test_high_dimensional_path_matches_dense_pipeline():
 
     w = efron_ipc_weights_oracle(s.log_times, s.events)
     w *= s.n / w.sum()
-    summ = covariate_summary(s, w)
+    summ = covariate_summary(s.covariates, w)
     m = weighted_mean(s, w)
     v = weighted_variance(s, w, m)
     covs = weighted_covariances(s, w, m, summ)

@@ -8,6 +8,7 @@ from survscreen import SurvivalSample, load_sample
 from survscreen import data
 from survscreen.data import covariate_summary, save_sample
 from survscreen.errors import (
+    BadValue,
     MissingColumn,
     NonBinaryStatus,
     NonNumericCell,
@@ -212,7 +213,7 @@ def test_summary_constant_column_flagged():
     s = SurvivalSample.from_times(
         [1, 2, 3], [1, 1, 1], np.array([[1.0, 0.0], [1.0, 2.0], [1.0, 4.0]])
     )
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     npt.assert_allclose(summ.means, [1.0, 2.0])
     npt.assert_allclose(summ.variances, [0.0, 4.0])
     npt.assert_array_equal(summ.degenerate, [True, False])
@@ -220,7 +221,7 @@ def test_summary_constant_column_flagged():
 
 def test_summary_two_point_column():
     s = SurvivalSample.from_times([1, 2], [1, 1], np.array([[0.0], [2.0]]))
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     assert summ.means[0] == 1.0
     assert summ.variances[0] == 2.0
 
@@ -229,7 +230,7 @@ def test_summary_matches_two_pass_oracle():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((50, 5)) * rng.uniform(0.5, 3.0, size=5)
     s = SurvivalSample.from_times(rng.lognormal(size=50), np.ones(50, dtype=int), x)
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     means, variances = naive_summary(x)
     npt.assert_allclose(summ.means, means, rtol=1e-12)
     npt.assert_allclose(summ.variances, variances, rtol=1e-12)
@@ -242,8 +243,8 @@ def test_summary_permutation_invariant():
     ev = rng.integers(0, 2, size=40)
     ev[0] = 1
     perm = rng.permutation(40)
-    a = covariate_summary(SurvivalSample.from_times(t, ev, x))
-    b = covariate_summary(SurvivalSample.from_times(t[perm], ev[perm], x[perm]))
+    a = covariate_summary(SurvivalSample.from_times(t, ev, x).covariates)
+    b = covariate_summary(SurvivalSample.from_times(t[perm], ev[perm], x[perm]).covariates)
     npt.assert_allclose(a.means, b.means, rtol=1e-12)
     npt.assert_allclose(a.variances, b.variances, rtol=1e-12)
 
@@ -254,8 +255,8 @@ def test_summary_shift_property():
     t = rng.lognormal(size=30)
     shifted = x.copy()
     shifted[:, 0] += 7.5
-    a = covariate_summary(SurvivalSample.from_times(t, np.ones(30, dtype=int), x))
-    b = covariate_summary(SurvivalSample.from_times(t, np.ones(30, dtype=int), shifted))
+    a = covariate_summary(SurvivalSample.from_times(t, np.ones(30, dtype=int), x).covariates)
+    b = covariate_summary(SurvivalSample.from_times(t, np.ones(30, dtype=int), shifted).covariates)
     npt.assert_allclose(b.means[0], a.means[0] + 7.5, rtol=1e-10)
     npt.assert_allclose(b.variances, a.variances, rtol=1e-10)
 
@@ -267,7 +268,7 @@ def test_weighted_summary_matches_frequency_weight_oracle():
     x = rng.standard_normal((12, 3))
     w = np.array([0, 1, 2, 3, 0, 1, 1, 2, 4, 0, 1, 2], dtype=float)
     s = SurvivalSample.from_times(rng.lognormal(size=12), np.ones(12, dtype=int), x)
-    summ = covariate_summary(s, w)
+    summ = covariate_summary(s.covariates, w)
     means, variances = naive_summary(np.repeat(x, w.astype(int), axis=0))
     npt.assert_allclose(summ.means, means, rtol=1e-12)
     npt.assert_allclose(summ.variances, variances, rtol=1e-12)
@@ -277,8 +278,8 @@ def test_weighted_summary_unit_weights_bitwise():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((25, 4))
     s = SurvivalSample.from_times(rng.lognormal(size=25), np.ones(25, dtype=int), x)
-    a = covariate_summary(s)
-    b = covariate_summary(s, np.ones(25))
+    a = covariate_summary(s.covariates)
+    b = covariate_summary(s.covariates, np.ones(25))
     npt.assert_array_equal(a.means, b.means)
     npt.assert_array_equal(a.variances, b.variances)
 
@@ -286,6 +287,20 @@ def test_weighted_summary_unit_weights_bitwise():
 def test_weighted_summary_constant_on_weighted_rows_is_degenerate():
     x = np.array([[1.0, 0.0], [1.0, 2.0], [5.0, 4.0], [1.0, 1.0]])
     s = SurvivalSample.from_times([1, 2, 3, 4], [1, 1, 1, 1], x)
-    summ = covariate_summary(s, np.array([2.0, 1.0, 0.0, 1.0]))
+    summ = covariate_summary(s.covariates, np.array([2.0, 1.0, 0.0, 1.0]))
     npt.assert_array_equal(summ.degenerate, [True, False])
     assert summ.means[0] == 1.0
+
+
+def test_weighted_summary_needs_weights_summing_above_one():
+    # the variances divide by sum(w) - 1; shares summing to 1 have no such
+    # divisor and are refused, by the summary and by the rows standardized
+    # from it, rather than turned into infinities and NaNs
+    from survscreen.shrinkage import whitener_from_data
+
+    x = np.random.default_rng(19).standard_normal((10, 3))
+    shares = np.full(10, 0.1)
+    with pytest.raises(BadValue):
+        covariate_summary(x, shares)
+    with pytest.raises(BadValue):
+        whitener_from_data(x, None, shares)

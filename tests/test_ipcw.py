@@ -4,15 +4,10 @@ import pytest
 
 from survscreen import SurvivalSample
 from survscreen.data import covariate_summary
-from survscreen.ipcw import (
-    censoring_km,
-    correlation_vector,
-    ipc_weights,
-    weighted_covariances,
-    weighted_mean,
-    weighted_variance,
-)
+from survscreen.ipcw import censoring_km, ipc_weights
 from survscreen.errors import DegenerateOutcome
+
+from helpers import correlation_vector, weighted_covariances, weighted_mean, weighted_variance
 
 
 def make_sample(times, events, cov=None):
@@ -150,7 +145,7 @@ def test_weighted_covariance_matches_direct_sum():
     cov = rng.standard_normal((10, 3))
     s = SurvivalSample.from_times(times, events, cov)
     ws = ipc_weights(s, censoring_km(s), 1e-6)
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     m = weighted_mean(s, ws.weights)
     got = weighted_covariances(s, ws.weights, m, summ)
     for j in range(3):
@@ -168,12 +163,12 @@ def test_weighted_covariance_partition_independent():
     cov = rng.standard_normal((40, 6))
     s = SurvivalSample.from_times(times, events, cov)
     ws = ipc_weights(s, censoring_km(s), 1e-6)
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     m = weighted_mean(s, ws.weights)
     full = weighted_covariances(s, ws.weights, m, summ)
     for j in range(6):
         single = SurvivalSample.from_times(times, events, cov[:, [j]])
-        summ_j = covariate_summary(single)
+        summ_j = covariate_summary(single.covariates)
         one = weighted_covariances(single, ws.weights, m, summ_j)
         assert one[0] == full[j]
 
@@ -183,7 +178,7 @@ def test_weighted_covariance_of_outcome_with_itself():
     times = rng.lognormal(size=20)
     s = SurvivalSample.from_times(times, np.ones(20, dtype=int), np.log(times)[:, None])
     ws = ipc_weights(s, censoring_km(s), 1e-6)
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     m = weighted_mean(s, ws.weights)
     v = weighted_variance(s, ws.weights, m)
     covs = weighted_covariances(s, ws.weights, m, summ)
@@ -198,7 +193,7 @@ def test_correlation_vector_mixed_divisors_below_one():
     times = rng.lognormal(size=n)
     s = SurvivalSample.from_times(times, np.ones(n, dtype=int), np.log(times)[:, None])
     ws = ipc_weights(s, censoring_km(s), 1e-6)
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     m = weighted_mean(s, ws.weights)
     v = weighted_variance(s, ws.weights, m)
     covs = weighted_covariances(s, ws.weights, m, summ)
@@ -208,7 +203,7 @@ def test_correlation_vector_mixed_divisors_below_one():
 
 def test_correlation_vector_zero_variance_maps_to_zero():
     s = make_sample([1, 2, 3], [1, 1, 1], np.ones((3, 1)))
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     m = weighted_mean(s, np.ones(3))
     v = weighted_variance(s, np.ones(3), m)
     covs = weighted_covariances(s, np.ones(3), m, summ)
@@ -222,7 +217,7 @@ def test_correlation_vector_null_covariate_small():
     times = rng.lognormal(size=n)
     x = rng.standard_normal((n, 1))
     s = SurvivalSample.from_times(times, np.ones(n, dtype=int), x)
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
     m = weighted_mean(s, np.ones(n))
     v = weighted_variance(s, np.ones(n), m)
     covs = weighted_covariances(s, np.ones(n), m, summ)
@@ -249,7 +244,7 @@ def test_monte_carlo_unbiasedness_mean_variance_covariance():
     x = np.column_stack([rng.standard_normal(n)])  # independent of outcome
     s = SurvivalSample.from_times(times, events, x)
     ws = ipc_weights(s, censoring_km(s), 1e-6)
-    summ = covariate_summary(s)
+    summ = covariate_summary(s.covariates)
 
     m = weighted_mean(s, ws.weights)
     se_mean = np.std(ws.weights * s.log_times, ddof=1) / np.sqrt(n)
@@ -294,7 +289,7 @@ def test_estimator_consistency_in_n():
             events = (log_t <= log_c).astype(int)
             s = SurvivalSample.from_times(times, events, z[:, None])
             ws = ipc_weights(s, censoring_km(s), 1e-6)
-            summ = covariate_summary(s)
+            summ = covariate_summary(s.covariates)
             m = weighted_mean(s, ws.weights)
             v = weighted_variance(s, ws.weights, m)
             covs = weighted_covariances(s, ws.weights, m, summ)
