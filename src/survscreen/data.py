@@ -234,8 +234,10 @@ def load_sample(path, time_col: str = "time", status_col: str = "status") -> Sur
     alone decides what such a file holds and which error it gets.  When the
     covariates are one run of columns (as in ``time,status,x1,...``) the
     sample's covariate matrix is a view of the parsed table; any other
-    layout is copied out of it.
+    layout is copied out of it.  The time and status columns must differ.
     """
+    if time_col == status_col:
+        raise BadValue(f"the time and status columns must differ, got {time_col!r} for both")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = _rows(reader)

@@ -8,25 +8,28 @@ summed squares (the Ledoit-Wolf-style plug-in of Schaefer & Strimmer).
 Every function takes R and lam from one set of rows: each row of positive
 weight w_i enters with share w_i / sum(w), and rows of weight 0 drop out.
 Without weights every row has weight 1, which is the plain sample
-estimator.  The weighted standardized rows a (``WeightedRows``, m x d, m
-the number of rows of positive weight, standardized by the moments of
-``data.covariate_summary``) and one Gram matrix of them, shared by lam and
-the whitener, are formed once: a'a, the correlation matrix, when d <= m,
-and the m x m matrix aa' when d > m.  Shrinking maps each eigenvalue mu of
-R to lam + (1 - lam) mu in the same eigendirection, so the inverse square
-root has one form on both routes, b I + V diag(g - b) V' with
+estimator.  Both need only products with the weighted standardized rows a
+(``WeightedRows``, m x d, m the number of rows of positive weight,
+standardized by the moments of ``data.covariate_summary``): one Gram matrix
+of them, shared by lam and the whitener, a'a, the correlation matrix, when
+d <= m, and the m x m matrix aa' when d > m.  Shrinking maps each eigenvalue
+mu of R to lam + (1 - lam) mu in the same eigendirection, so the inverse
+square root has one form on both routes, b I + V diag(g - b) V' with
 g = (lam + (1 - lam) mu)^-1/2: V holds every eigenvector of R and b = 0
 when d <= m; V holds the nonzero directions a'Q, Q = U mu^-1/2, of
-aa' = U diag(mu) U' and b = lam^-1/2 when d > m.  On that route V is kept
-factored: the whitener holds Q (m x r) and a reference to the rows a, so
-the only arrays of the sample's size are the sample and a, and applying
-it is two passes over a.  Scoring never forms a d x d inverse square root.
+aa' = U diag(mu) U' and b = lam^-1/2 when d > m.  On that route a is never
+held: it is an elementwise function of the covariates, rebuilt in panels of
+``PANEL_COLUMNS`` columns for each pass, and V is kept factored as Q (m x r)
+and the rows.  One pass forms the Gram matrix, lam's sums of squares, the
+correlation vector r and a r; applying the whitener to r is one more, so
+the only array of the sample's size is the sample itself.  When d <= m, a is
+formed whole, as one panel.  Scoring never forms a d x d inverse square
+root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,62 +40,9 @@ from .errors import SingularMatrix, TooFewRows
 MIN_EIGENVALUE = 1e-10
 
 
-def _weighted_rows(x: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows a with a'a the weighted correlation matrix, and their shares p.
-
-    Only rows of positive weight are kept; their shares are
-    p_i = w_i / sum(w), and ``weights=None`` gives every row weight 1;
-    the weights must sum to more than 1, as ``data.covariate_summary``
-    needs.  Row i is sqrt(p_i) u_i, where u standardizes the covariates by the
-    weighted means and variances of ``data.covariate_summary``, the latter
-    times (sum(w) - 1) / sum(w) for the divisor sum(w), so a'a is the
-    correlation matrix of the weighted distribution (constant columns are
-    all-zero).  The carried rows are copied once and worked on in place.
-    """
-    x = np.asarray(x, dtype=float)
-    weights = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    summary = data.covariate_summary(x, weights)
-    carried = np.flatnonzero(weights > 0)
-    total = float(weights[carried].sum())
-    p = weights[carried] / total
-    var = summary.variances * ((total - 1.0) / total)
-    ok = var > 0  # constant columns have variance exactly 0
-    scale = np.zeros(var.shape)
-    scale[ok] = 1.0 / np.sqrt(var[ok])
-    z = x[carried]
-    z -= summary.means
-    z[:, ~ok] = 0.0  # +0.0 times 0 stays +0.0, as a negative entry times 0 would not
-    z *= scale
-    z *= np.sqrt(p)[:, None]
-    return z, p
-
-
-@dataclass
-class WeightedRows:
-    """``_weighted_rows`` of the covariates (a, m x d) with their shares p.
-
-    ``gram`` is their one Gram matrix, a'a when d <= m and aa' when d > m,
-    formed on first use: only the shrinkage weight and the whitener use it,
-    and they need at least 3 rows of positive weight.  ``constant`` flags
-    the columns that are constant over those rows, the all-zero columns.
-    """
-
-    a: np.ndarray
-    p: np.ndarray
-
-    @classmethod
-    def of(cls, x: np.ndarray, weights: np.ndarray | None = None) -> WeightedRows:
-        return cls(*_weighted_rows(x, weights))
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        m, d = self.a.shape
-        _need_three_rows(m)
-        return self.a.T @ self.a if d <= m else self.a @ self.a.T
-
-    @cached_property
-    def constant(self) -> np.ndarray:
-        return ~self.a.any(axis=0)
+#: columns of a in one panel when d > m; a fixed count, so that no output
+#: depends on ``data.BLOCK_CELLS``
+PANEL_COLUMNS = 512
 
 
 def _need_three_rows(m: int) -> None:
@@ -100,8 +50,167 @@ def _need_three_rows(m: int) -> None:
         raise TooFewRows(f"need at least 3 rows of positive weight, got {m}")
 
 
+def _add_square_sums(a: np.ndarray, row_sq: np.ndarray, row_quad: np.ndarray, col_sq: np.ndarray) -> None:
+    """Add the sums of the squares and of the fourth powers of each row of a
+    to row_sq and row_quad, and write its column sums of squares to col_sq.
+
+    The squares are formed in blocks of rows of about ``data.BLOCK_CELLS``
+    cells, never all at once.  Row 0 of the buffer carries the column sums
+    so far and the squares of the next block follow it: numpy adds the rows
+    of an axis-0 sum in order, so every sum has the bits of one array.
+    """
+    m, k = a.shape
+    step = data.block_length(k)
+    buf = np.zeros((min(step, m) + 1, k))
+    for lo in range(0, m, step):
+        sq = np.square(a[lo : lo + step], out=buf[1 : 1 + min(step, m - lo)])
+        row_sq[lo : lo + len(sq)] += sq.sum(axis=1)
+        row_quad[lo : lo + len(sq)] += (sq**2).sum(axis=1)
+        buf[0] = buf[: 1 + len(sq)].sum(axis=0)
+    col_sq[...] = buf[0]
+
+
+@dataclass
+class WeightedRows:
+    """The weighted standardized rows a (m x d) of the covariates, with a'a
+    their weighted correlation matrix, and the rows' shares p.
+
+    Only the m rows of positive weight (``carried``) count; their shares
+    are p_i = w_i / sum(w), and ``weights=None`` gives every row weight 1;
+    the weights must sum to more than 1, as ``data.covariate_summary``
+    needs.  Row i of a is sqrt(p_i) u_i, where u standardizes the
+    covariates by the weighted means and variances of that one moment pass,
+    the latter times (sum(w) - 1) / sum(w) for the divisor sum(w).
+    ``scales`` holds the inverse standard deviations, 0 on constant
+    columns, whose columns of a are all zero.
+
+    a is never held.  ``panel`` builds any run of its columns from the
+    covariates (kept as given, so a view of the parsed table stays one) by
+    elementwise steps, so every entry has the same bits whatever the run.
+    ``scan`` is the one pass over a for the shrinkage weight and the
+    whitener; ``dot`` and ``tdot`` are the products a v and a'y.
+    """
+
+    x: np.ndarray
+    carried: np.ndarray
+    means: np.ndarray
+    scales: np.ndarray
+    p: np.ndarray
+    root_p: np.ndarray
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    _constant: np.ndarray | None = field(default=None, init=False, repr=False)
+    _squares: tuple | None = field(default=None, init=False, repr=False)
+    _product: tuple | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def of(cls, x: np.ndarray, weights: np.ndarray | None = None) -> WeightedRows:
+        x = np.asarray(x, dtype=float)
+        weights = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+        summary = data.covariate_summary(x, weights)
+        carried = weights > 0
+        total = float(weights[carried].sum())
+        p = weights[carried] / total
+        var = summary.variances * ((total - 1.0) / total)
+        ok = var > 0  # constant columns have variance exactly 0
+        scales = np.zeros(var.shape)
+        scales[ok] = 1.0 / np.sqrt(var[ok])
+        return cls(x, carried, summary.means, scales, p, np.sqrt(p))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.p), self.x.shape[1]
+
+    def panel(self, cols: slice) -> np.ndarray:
+        """Columns ``cols`` of a, as a new C-contiguous m x k array."""
+        z = self.x[self.carried, cols]
+        scales = self.scales[cols]
+        z -= self.means[cols]
+        z[:, scales == 0] = 0.0  # +0.0 times 0 stays +0.0, as a negative entry times 0 would not
+        z *= scales
+        z *= self.root_p[:, None]
+        return z
+
+    def panels(self):
+        """(cols, ``panel(cols)``) over the columns in order: all of them in
+        one panel when d <= m, ``PANEL_COLUMNS`` at a time when d > m."""
+        m, d = self.shape
+        width = max(d, 1) if d <= m else PANEL_COLUMNS
+        for lo in range(0, d, width):
+            cols = slice(lo, lo + width)
+            yield cols, self.panel(cols)
+
+    def scan(self, t: np.ndarray | None = None, factor: float = 1.0, gram: bool = True) -> np.ndarray | None:
+        """The one pass over a that the shrinkage weight and the whitener need.
+
+        It forms the all-zero columns (``constant``), the sums of squares
+        of ``shrinkage_lambda`` and, unless ``gram`` is False, the Gram
+        matrix (a'a when d <= m, aa' when d > m; it needs at least 3 rows).
+        Given t (m entries) it returns r = factor * a't, read-only, and the
+        same pass forms a r, which ``dot(r)`` then returns.
+        """
+        m, d = self.shape
+        if gram:
+            _need_three_rows(m)
+        dense = d <= m
+        row_sq, row_quad, ar = np.zeros((3, m))
+        col_sq = np.empty(d)
+        constant = np.empty(d, dtype=bool)
+        r = None if t is None else np.empty(d)
+        g = None
+        for cols, a in self.panels():
+            _add_square_sums(a, row_sq, row_quad, col_sq[cols])
+            constant[cols] = ~a.any(axis=0)
+            if t is not None:
+                r[cols] = factor * (a.T @ t)
+                ar += a @ r[cols]
+            if gram:
+                part = a.T @ a if dense else a @ a.T
+                if g is None:
+                    g = part
+                else:
+                    g += part
+        if gram:
+            self._gram = g
+        self._constant, self._squares = constant, (row_sq, row_quad, col_sq)
+        if r is not None:
+            r.flags.writeable = False  # so that the a r kept for it stays a r
+            self._product = (r, ar)
+        return r
+
+    @property
+    def gram(self) -> np.ndarray:
+        """a'a when d <= m and aa' when d > m, from ``scan``."""
+        if self._gram is None:
+            self.scan()
+        return self._gram
+
+    @property
+    def constant(self) -> np.ndarray:
+        """The columns that are constant over the rows, the all-zero columns of a."""
+        if self._constant is None:
+            self.scan(gram=False)
+        return self._constant
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """a v for v of d entries or d x k: one pass over the panels, or
+        none for the r that ``scan`` returned."""
+        if self._product is not None and v is self._product[0]:
+            return self._product[1]
+        out = np.zeros((len(self.p),) + np.shape(v)[1:])
+        for cols, a in self.panels():
+            out += a @ v[cols]
+        return out
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        """a'y for y of m entries or m x k, in one pass over the panels."""
+        out = np.empty(self.shape[1:] + np.shape(y)[1:])
+        for cols, a in self.panels():
+            out[cols] = a.T @ y
+        return out
+
+
 def _unit_diagonal(gram: np.ndarray) -> np.ndarray:
-    """The correlation matrix from the Gram a'a of ``_weighted_rows``: exactly
+    """The correlation matrix from the Gram a'a of ``WeightedRows``: exactly
     symmetric, with unit diagonal."""
     corr = gram + gram.T
     corr /= 2
@@ -116,8 +225,9 @@ def sample_correlations(covariates: np.ndarray) -> np.ndarray:
     This is the matrix whose eigenvectors the d <= m route of
     ``whitener_from_data`` keeps.
     """
-    a, _ = _weighted_rows(covariates, None)
-    _need_three_rows(len(a))
+    rows = WeightedRows.of(covariates)
+    _need_three_rows(rows.shape[0])
+    a = rows.panel(slice(None))
     return _unit_diagonal(a.T @ a)
 
 
@@ -138,16 +248,16 @@ def shrinkage_lambda(
     Var-hat(r_jk) = n / (n-1)^3 * sum_i (z_ij z_ik - mean_i z_ij z_ik)^2 of
     the n-1 divisor standardized data z.
 
-    With a_i = sqrt(p_i) u_i (``_weighted_rows``) both sums are Gram
+    With a_i = sqrt(p_i) u_i (``WeightedRows``) both sums are Gram
     identities: sum_{j!=k} sum_i p_i v_ijk^2 = sum_i [(sum_j a_ij^2)^2 -
     sum_j a_ij^4] / p_i and sum_{j!=k} r_jk^2 = ||a'a||_F^2 - sum_j (a'a)_jj^2,
     so the cost is O(m^2 d) when d > m rows carry weight and O(m d^2)
-    otherwise; no d x d pair loop is run.  The squares of a are formed in
-    blocks of rows of about ``data.BLOCK_CELLS`` cells, never all at once,
-    with the same bits as one m x d array.  An all-zero denominator (no
+    otherwise; no d x d pair loop is run.  The sums of squares and the Gram
+    matrix come from the rows' one ``scan``.  An all-zero denominator (no
     off-diagonal correlation at all) yields lam = 1 by convention.
-    ``whitener_from_data`` passes its prepared ``WeightedRows`` in place of
-    the covariates (and no weights), so they and their Gram are formed once.
+    ``whitener_from_data`` and ``cars.weighted_cars_score`` pass their
+    prepared ``WeightedRows`` in place of the covariates (and no weights),
+    so the pass over a runs once.
     """
     rows = covariates
     if not isinstance(rows, WeightedRows):
@@ -155,23 +265,10 @@ def shrinkage_lambda(
         if x.shape[1] < 2:
             raise ValueError("shrinkage weight needs at least 2 covariates")
         rows = WeightedRows.of(x, weights)
-    a, p = rows.a, rows.p
-    m, d = a.shape
-    step = data.block_length(d)
-    # row 0 of the buffer carries the column sums of the squares so far and
-    # the squares of the next block of rows follow it: numpy adds the rows of
-    # an axis-0 sum in order, so the sums are those of one m x d array
-    buf = np.zeros((min(step, m) + 1, d))
-    row_sq, row_quad = np.empty((2, m))
-    for lo in range(0, m, step):
-        block = a[lo : lo + step]
-        sq = np.square(block, out=buf[1 : 1 + len(block)])
-        row_sq[lo : lo + len(sq)] = sq.sum(axis=1)
-        row_quad[lo : lo + len(sq)] = (sq**2).sum(axis=1)
-        buf[0] = buf[: 1 + len(sq)].sum(axis=0)
+    gram, p = rows.gram, rows.p
+    row_sq, row_quad, col_sq = rows._squares
     v_sq_sum = float(((row_sq**2 - row_quad) / p).sum())
-    col_sq = buf[0]
-    cross_sq = float((rows.gram * rows.gram).sum() - (col_sq**2).sum())
+    cross_sq = float((gram * gram).sum() - (col_sq**2).sum())
     if cross_sq <= 0:
         return 1.0
     p_sq = float(p @ p)
@@ -195,8 +292,9 @@ class InverseSqrtCorrelation:
 
     V a d x r matrix of orthonormal eigendirections, g their inverse square
     root eigenvalues and b the one of the orthogonal complement.  V is
-    ``basis`` itself, or ``rows' basis`` when ``rows`` (k x d) is set: then
-    ``basis`` is k x r and V is never formed.  A column that is constant
+    ``basis`` itself, or a'basis when ``rows`` (the ``WeightedRows`` a,
+    m x d) is set: then ``basis`` is m x r and V is never formed, each
+    product with it one pass over the panels of a.  A column that is constant
     over the rows (``constant``) has correlation 0 with every other column
     and 1 with itself, so its row and column of W are those of the
     identity.  An empty V with b = 1 is the exact identity.
@@ -206,7 +304,7 @@ class InverseSqrtCorrelation:
     basis: np.ndarray
     scales: np.ndarray
     constant: np.ndarray
-    rows: np.ndarray | None = None
+    rows: WeightedRows | None = None
 
     @property
     def dim(self) -> int:
@@ -219,11 +317,11 @@ class InverseSqrtCorrelation:
 
     def _directions(self, y: np.ndarray) -> np.ndarray:
         """V y."""
-        return self.basis @ y if self.rows is None else self.rows.T @ (self.basis @ y)
+        return self.basis @ y if self.rows is None else self.rows.tdot(self.basis @ y)
 
     def _coordinates(self, vec: np.ndarray) -> np.ndarray:
         """V' vec."""
-        return self.basis.T @ vec if self.rows is None else self.basis.T @ (self.rows @ vec)
+        return self.basis.T @ vec if self.rows is None else self.basis.T @ self.rows.dot(vec)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the inverse square root."""
@@ -284,7 +382,7 @@ def whitener_from_data(
     leaves it unestimated).
     """
     given = isinstance(covariates, WeightedRows)
-    x = covariates.a if given else np.asarray(covariates, dtype=float)
+    x = covariates.x if given else np.asarray(covariates, dtype=float)
     d = x.shape[1]
     if d >= 2 and lam != 1.0:
         rows = covariates if given else WeightedRows.of(x, weights)
@@ -294,19 +392,19 @@ def whitener_from_data(
         identity = InverseSqrtCorrelation(1.0, np.empty((d, 0)), np.empty(0), np.zeros(d, dtype=bool))
         return identity, (0.0 if lam is None else lam), 1.0
 
-    constant = rows.constant
-    dense = d <= rows.a.shape[0]
+    gram, constant = rows.gram, rows.constant
+    dense = d <= rows.shape[0]
     if dense:
-        corr = _unit_diagonal(rows.gram)
+        corr = _unit_diagonal(gram)
         mu, basis = np.linalg.eigh(corr)
         min_eig = lam + (1.0 - lam) * mu.min()
         factor = None
     else:
-        mu, u = np.linalg.eigh(rows.gram)
+        mu, u = np.linalg.eigh(gram)
         keep = mu > (mu.max() * 1e-12 if mu.max() > 0 else np.inf)
         mu = mu[keep]
         basis = u[:, keep] / np.sqrt(mu)
-        factor = rows.a  # V = a'basis is kept factored, never formed
+        factor = rows  # V = a'basis is kept factored, never formed
         min_eig = lam  # rank-deficient: the orthogonal complement sits at lam
     if min_eig <= MIN_EIGENVALUE:
         raise SingularMatrix(

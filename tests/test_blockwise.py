@@ -1,12 +1,14 @@
 """The blockwise and in-place CARS passes against their one-shot forms.
 
 Every pass over the covariates works in blocks of at most ``data.BLOCK_CELLS``
-cells or in place.  Each test shrinks the budget to tiny and odd values and
-asserts that the outputs are bit-identical to one full-width block and to
-the one-shot expressions below, which build whole n x d (or m x d)
-temporaries.  The inputs cover both whitener routes (d <= m and d > m), a
-column count that no block width divides, constant and rounded columns and
-rows of zero weight.
+cells or in place, and when d > m the weighted rows a are rebuilt in panels
+of ``shrinkage.PANEL_COLUMNS`` columns for each product.  Each test shrinks
+the budget to tiny and odd values and asserts that the outputs are
+bit-identical to one full-width block and to the one-shot expressions below,
+which build whole n x d (or m x d) temporaries; products summed over several
+panels match them up to rounding.  The inputs cover both whitener routes
+(d <= m and d > m), a column count that no block width divides, constant and
+rounded columns and rows of zero weight.
 """
 
 import tracemalloc
@@ -138,24 +140,33 @@ def test_weighted_covariances_blocks(monkeypatch, weighted, cells):
     assert bits(got) == bits(ref)
 
 
-def test_weighted_rows_in_place(weighted):
+def test_weighted_rows_in_place(monkeypatch, weighted):
+    """Every panel of a has the one-shot bits, however the columns are cut."""
     sample, weights = weighted
     assert not sample.covariates.flags.c_contiguous
     for x in (sample.covariates, np.ascontiguousarray(sample.covariates)):
         for w in (weights, None):
-            a, p = shrinkage._weighted_rows(x, w)
+            rows = shrinkage.WeightedRows.of(x, w)
+            a, p = rows.panel(slice(None)), rows.p
             full = np.ones(sample.n) if w is None else w
             ref = weighted_rows_oneshot(x, full)
             assert bits(a, p) == bits(*ref)
             np.testing.assert_allclose(a, weighted_rows_own_moments(x, full), rtol=0, atol=1e-14)
             assert a.flags.c_contiguous and not np.signbit(a[:, 1]).any()
+            assert np.shares_memory(rows.x, x)
+            for width in (1, 7, 256):
+                monkeypatch.setattr(shrinkage, "PANEL_COLUMNS", width)
+                panels = [panel for _, panel in rows.panels()]
+                assert bits(np.hstack(panels)) == bits(ref[0])
+                assert all(panel.flags.c_contiguous for panel in panels)
 
 
 @pytest.mark.parametrize("cells", BUDGETS)
 def test_shrinkage_lambda_blocks(monkeypatch, weighted, cells):
     sample, weights = weighted
     rows = shrinkage.WeightedRows.of(sample.covariates, weights)
-    ref = lambda_oneshot(rows.a, rows.p, rows.gram)
+    a, p = weighted_rows_oneshot(sample.covariates, weights)
+    ref = lambda_oneshot(a, p, rows.gram)
     assert 0.0 < ref < 1.0
     monkeypatch.setattr(data, "BLOCK_CELLS", cells)
     assert bits(shrinkage.shrinkage_lambda(rows)) == bits(ref)
@@ -178,29 +189,67 @@ def test_whitener_and_cars_score_blocks(monkeypatch, weighted):
         assert outputs() == ref
 
 
+def held_arrays(obj):
+    """The arrays an object holds in its attributes, tuples opened."""
+    for value in vars(obj).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
 def test_d_above_m_basis_is_kept_factored(monkeypatch):
-    """V = rows' basis is the one-shot a'U mu^-1/2 with orthonormal columns,
-    and ``rows`` is the weighted-rows array itself, not a copy."""
+    """V = a'U mu^-1/2 for the one-shot weighted rows a, with orthonormal
+    columns, in one panel and in several; the whitener holds the m x r basis
+    and the ``WeightedRows``, which keep the covariates themselves and no
+    array of a's size."""
     sample = block_sample(*SHAPES[1], seed=sum(SHAPES[1]))
     weights = cars.scoring_weights(sample).weights
-    weighted_rows = shrinkage._weighted_rows
-    made = []
-
-    def recorded(x, w):
-        made.append(weighted_rows(x, w))
-        return made[-1]
-
-    monkeypatch.setattr(shrinkage, "_weighted_rows", recorded)
-    wh, lam, _ = shrinkage.whitener_from_data(sample.covariates, None, weights)
-    ((a, _),) = made
-    assert sample.d > a.shape[0] and lam < 1.0
-    assert wh.rows is a and np.shares_memory(wh.rows, a)
-    assert wh.basis.shape[0] == a.shape[0] and wh.dim == sample.d
+    a, _ = weighted_rows_oneshot(sample.covariates, weights)
+    m = a.shape[0]
     mu, u = np.linalg.eigh(a @ a.T)
     keep = mu > mu.max() * 1e-12
-    v = wh.rows.T @ wh.basis
-    np.testing.assert_allclose(v, (a.T @ u[:, keep]) / np.sqrt(mu[keep]), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(v.T @ v, np.eye(keep.sum()), rtol=0, atol=1e-12)
+    ref = (a.T @ u[:, keep]) / np.sqrt(mu[keep])
+    for width in (shrinkage.PANEL_COLUMNS, 16):
+        monkeypatch.setattr(shrinkage, "PANEL_COLUMNS", width)
+        wh, lam, _ = shrinkage.whitener_from_data(sample.covariates, None, weights)
+        assert sample.d > m and lam < 1.0
+        assert isinstance(wh.rows, shrinkage.WeightedRows) and wh.rows.x is sample.covariates
+        assert all(arr.size < m * sample.d for arr in held_arrays(wh.rows) if arr is not wh.rows.x)
+        assert wh.basis.shape[0] == m and wh.dim == sample.d
+        v = wh.rows.tdot(wh.basis)
+        # each eigenvector has a sign of its own: the panels sum the Gram in another order
+        v *= np.sign((v * ref).sum(axis=0))
+        np.testing.assert_allclose(v, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(keep.sum()), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 7, 50])
+def test_panel_products_match_one_shot(monkeypatch, width):
+    """With several panels (d > m) the products of ``scan``, ``dot`` and
+    ``tdot`` and the shrinkage weight equal those of a materialized a up to
+    rounding, and none of them depends on ``data.BLOCK_CELLS``."""
+    monkeypatch.setattr(shrinkage, "PANEL_COLUMNS", width)
+    sample = block_sample(*SHAPES[1], seed=sum(SHAPES[1]))
+    weights = cars.scoring_weights(sample).weights
+    a, p = weighted_rows_oneshot(sample.covariates, weights)
+    rng = np.random.default_rng(3)
+    t, v = rng.standard_normal(len(p)), rng.standard_normal((sample.d, 3))
+
+    def products():
+        rows = shrinkage.WeightedRows.of(sample.covariates, weights)
+        r = rows.scan(t, 0.5)
+        return [rows.gram, r, rows.dot(r), rows.dot(v), rows.tdot(t), rows.constant,
+                shrinkage.shrinkage_lambda(rows)]
+
+    monkeypatch.setattr(data, "BLOCK_CELLS", ONE_BLOCK)
+    got = products()
+    r = 0.5 * (a.T @ t)
+    for x, want in zip(got, [a @ a.T, r, a @ r, a @ v, a.T @ t, ~a.any(axis=0)]):
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got[-1], lambda_oneshot(a, p, a @ a.T), rtol=1e-12)
+    for cells in BUDGETS:
+        monkeypatch.setattr(data, "BLOCK_CELLS", cells)
+        assert bits(*products()) == bits(*got)
 
 
 def test_apply_is_a_column_of_to_matrix(weighted):
@@ -214,13 +263,11 @@ def test_apply_is_a_column_of_to_matrix(weighted):
         np.testing.assert_allclose(wh.apply(np.eye(sample.d)[j]), dense[:, j], rtol=0, atol=1e-12)
 
 
-def test_cars_score_peak_memory():
-    """cars_score's traced peak stays within 2.5 m·d·8 bytes above its inputs
-    on the d > m route (n=120, d=1500), with the covariates a view of the
-    parsed table as the CLI has them: the weighted rows are the only array
-    of that size it makes, and at this size the blocks of
-    ``data.BLOCK_CELLS`` cells weigh about as much again."""
-    sample = block_sample(120, 1500, seed=5)
+def cars_peak(n, d):
+    """cars_score's traced peak above its inputs on a d > m sample, in
+    multiples of m·d·8 bytes, with the covariates a view of the parsed table
+    as the CLI has them."""
+    sample = block_sample(n, d, seed=5)
     m = int((cars.scoring_weights(sample).weights > 0).sum())
     assert m < sample.d
     cars.cars_score(sample)
@@ -232,24 +279,29 @@ def test_cars_score_peak_memory():
     finally:
         tracemalloc.stop()
     assert sv.diagnostics["shrinkage"] < 1.0  # the basis is formed
-    assert peak <= 2.5 * m * sample.d * 8, peak / (m * sample.d * 8)
+    return peak / (m * sample.d * 8)
+
+
+def test_cars_score_peak_memory():
+    """At n=120, d=1500 cars_score's traced peak stays within 2.5 m·d·8 bytes:
+    no array of a's size is made, and at this size the blocks of
+    ``data.BLOCK_CELLS`` cells (about 1.8 m·d·8) are most of the peak."""
+    ratio = cars_peak(120, 1500)
+    assert ratio <= 2.5, ratio
 
 
 def test_cars_score_peak_memory_wide():
-    """At n=200, d=4000, where the blocks weigh little, cars_score's traced
-    peak stays within 1.5 m·d·8 bytes: V = a'Q is kept factored, so no d x r
-    basis sits next to the weighted rows (one would take the peak to about
-    2.1 m·d·8)."""
-    sample = block_sample(200, 4000, seed=5)
-    m = int((cars.scoring_weights(sample).weights > 0).sum())
-    assert m < sample.d
-    cars.cars_score(sample)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sv = cars.cars_score(sample)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert sv.diagnostics["shrinkage"] < 1.0
-    assert peak <= 1.5 * m * sample.d * 8, peak / (m * sample.d * 8)
+    """At n=200, d=4000, where the blocks weigh little, the traced peak stays
+    within 1.5 m·d·8 bytes: V = a'Q is kept factored, so no d x r basis is
+    formed (one would add about 0.9 m·d·8)."""
+    ratio = cars_peak(200, 4000)
+    assert ratio <= 1.5, ratio
+
+
+def test_cars_score_streams_the_weighted_rows():
+    """At n=200, d=4000 the traced peak stays within 0.6 m·d·8 bytes (about
+    0.45 is measured): the weighted rows a are never held whole, each product
+    with them is taken over panels of ``shrinkage.PANEL_COLUMNS`` columns
+    rebuilt from the covariates (holding a would add 1 m·d·8)."""
+    ratio = cars_peak(200, 4000)
+    assert ratio <= 0.6, ratio

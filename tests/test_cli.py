@@ -135,9 +135,17 @@ def test_bench_and_plotdata(tmp_path):
     assert set(prows[0]) == {"n", "d", "method", "metric", "q1", "median", "q3", "count"}
 
 
+def child_env():
+    """The environment of a child Python that finds this package's source by
+    absolute path, whatever its working directory and however pytest found it."""
+    path = [str(Path(bench.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "survscreen.cli", "--help"],
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -152,7 +160,7 @@ def test_cold_start_skips_scipy_stats_and_optimize():
         "import sys; import survscreen, survscreen.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
@@ -192,10 +200,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         "n = 60\nd = 12\ninfluential_fraction = 0.25\ninfluential_block = 3\n"
         "explained_variance = 0.75\ncensoring_rate = 0.25\nseed = 4\n"
     )
-    # the child runs in tmp_path, so it finds the package by absolute path
-    path = [str(Path(bench.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], cwd=tmp_path, env=child_env(),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -475,6 +480,8 @@ def edge_sample(case):
         return np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), rng.standard_normal((3, 25))
     if case == "n=3-censored":
         return np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), rng.standard_normal((3, 25))
+    if case == "time=status":  # a status column of 1s is also a valid time column
+        return rng.lognormal(size=30), np.ones(30, dtype=int), rng.standard_normal((30, 4))
     events = np.zeros(40, dtype=int)
     events[5] = 1
     return rng.lognormal(size=40), events, rng.standard_normal((40, 30))
@@ -490,14 +497,20 @@ EDGE_CASES = {
     ("n=3-censored", "cox"): (0, 0),
     ("one-event", "cars"): (3, None),  # DegenerateOutcome
     ("one-event", "cox"): (0, 0),
+    ("time=status", "cars"): (2, None),  # BadValue: one column named for both
+    ("time=status", "cox"): (2, None),
 }
+
+#: extra score arguments of a case
+EDGE_ARGS = {"time=status": ["--time-col", "status", "--status-col", "status"]}
 
 
 @pytest.mark.parametrize("case, method", EDGE_CASES, ids=lambda v: str(v))
 def test_cli_edge_cases_exit_cleanly(tmp_path, capsys, case, method):
     sample, scores = tmp_path / "sample.csv", tmp_path / "scores.csv"
     write_sample(sample, *edge_sample(case))
-    calls = [["score", "--input", str(sample), "--method", method, "--output", str(scores)],
+    calls = [["score", "--input", str(sample), "--method", method, "--output", str(scores),
+              *EDGE_ARGS.get(case, [])],
              ["select", "--scores", str(scores), "--alpha", "0.1",
               "--output", str(tmp_path / "s.csv")]]
     for argv, want in zip(calls, EDGE_CASES[case, method]):

@@ -234,7 +234,7 @@ def test_identity_whitener_forms_no_rows_and_is_exact(monkeypatch, d):
     from survscreen import shrinkage
 
     x = np.random.default_rng(30).standard_normal((20, d))
-    monkeypatch.setattr(shrinkage, "_weighted_rows", None)  # no rows may be formed
+    monkeypatch.setattr(shrinkage.WeightedRows, "of", None)  # no rows may be formed
     probe = np.random.default_rng(31).standard_normal(d)
     for lam, lam_used in ((1.0, 1.0),) + (((None, 0.0), (0.3, 0.3)) if d == 1 else ()):
         w, got_lam, min_eig = whitener_from_data(x, lam)
@@ -315,14 +315,14 @@ def test_zero_weight_rows_drop_out():
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_dense_whitener_takes_min_eigenvalue_from_its_one_eigh(weighted):
-    from survscreen.shrinkage import _weighted_rows
+    from survscreen.shrinkage import WeightedRows
 
     rng = np.random.default_rng(59)
     for n, d in ((40, 6), (25, 25), (60, 12)):
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) / np.sqrt(d)
         if weighted:
             w = rng.uniform(0.2, 2.0, size=n)
-            a, _ = _weighted_rows(x, w)
+            a = WeightedRows.of(x, w).panel(slice(None))
             corr = a.T @ a
             corr = (corr + corr.T) / 2
             np.fill_diagonal(corr, 1.0)
@@ -386,17 +386,22 @@ def test_whitener_lambda_from_shared_gram_is_shrinkage_lambda(n, d, weighted):
 
 @pytest.mark.parametrize("d", [6, 40])
 def test_cars_score_standardizes_the_rows_once(monkeypatch, d):
+    # one moment pass, then one pass over the weighted rows a for r, the Gram
+    # matrix and lam, and a second one for the factored whitener when d > m
     from survscreen import SurvivalSample, cars_score
-    from survscreen import shrinkage
+    from survscreen import data, shrinkage
 
     rng = np.random.default_rng(73)
     n = 20
     x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
     events = (rng.uniform(size=n) > 0.3).astype(int)
     sample = SurvivalSample.from_times(rng.lognormal(size=n), events, x)
-    calls = []
-    rows = shrinkage._weighted_rows
-    monkeypatch.setattr(shrinkage, "_weighted_rows", lambda *a: calls.append(1) or rows(*a))
+    calls, passes = [], []
+    summary = data.covariate_summary
+    monkeypatch.setattr(data, "covariate_summary", lambda *a: calls.append(1) or summary(*a))
+    panels = shrinkage.WeightedRows.panels
+    monkeypatch.setattr(shrinkage.WeightedRows, "panels", lambda rows: passes.append(1) or panels(rows))
     scores = cars_score(sample)
     assert 0 < scores.diagnostics["shrinkage"] < 1
     assert len(calls) == 1
+    assert len(passes) == (1 if d < n else 2)  # d > m when d > n
