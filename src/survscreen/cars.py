@@ -23,10 +23,11 @@ unweighted one.
 The covariate moments are taken in one pass (``data.covariate_summary``),
 and the correlation vector, the shrinkage weight and the whitener all come
 from the rows standardized by them (``weighted_cars_score``): one pass over
-those rows forms r and the Gram matrix, and applying the whitener to r takes
-one more when d exceeds the rows that carry weight.  Those rows are rebuilt
-from the covariates in panels for each pass, so scoring makes no copy of
-the sample's size.
+those rows forms the Gram matrix that the shrinkage weight and the whitener
+share and one more forms r, and applying the whitener to r takes two more
+when d exceeds the rows that carry weight.  Those rows are rebuilt from the
+covariates in panels for each pass, so scoring makes no copy of the
+sample's size.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ def weighted_cars_score(
     correlation vector is r = sqrt((sum(w) - 1) / sum(w)) a'(sqrt(p) y~):
     each weighted covariance over the sum(w) - 1 divisor covariate standard
     deviation and the sum(w) divisor outcome one, so |r_j| <= sqrt((n-1)/n)
-    when w sums to n.  The rows' one ``scan`` forms r together with what
-    lam (unless ``lambda_override`` is given) and the whitener need.
-    Constant covariates score exactly 0; an outcome variance at most
-    ``VARIANCE_FLOOR`` raises DegenerateOutcome.
+    when w sums to n.  lam (unless ``lambda_override`` is given) and the
+    whitener share the rows' one Gram pass.  Constant covariates score
+    exactly 0; an outcome variance at most ``VARIANCE_FLOOR`` raises
+    DegenerateOutcome.
     """
     if lambda_override is not None and not 0.0 <= lambda_override <= 1.0:
         raise BadValue("lambda_override must be in [0, 1]")
@@ -100,9 +101,7 @@ def weighted_cars_score(
     if var_y <= VARIANCE_FLOOR:
         raise DegenerateOutcome(f"weighted outcome variance {var_y:.3e} is not positive")
     total = float(weights[rows.carried].sum())
-    # the whitener needs the Gram matrix unless it is the identity
-    whitened = sample.d >= 2 and lambda_override != 1.0
-    corr = rows.scan(rows.root_p * (y / np.sqrt(var_y)), np.sqrt((total - 1.0) / total), gram=whitened)
+    corr = np.sqrt((total - 1.0) / total) * rows.tdot(rows.root_p * (y / np.sqrt(var_y)))
 
     whitener, lam_used, min_eig = whitener_from_data(rows, lambda_override)
     theta = whitener.apply(corr)

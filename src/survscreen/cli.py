@@ -9,6 +9,7 @@ validation error, 3 numerical failure; error lines on stderr have the form
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -102,7 +103,7 @@ def _cmd_select(args) -> None:
 def _cmd_simulate(args) -> None:
     config = load_scenario_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     os.makedirs(args.output_dir, exist_ok=True)
     scenario = Scenario.build(config)
     truth = scenario.truth

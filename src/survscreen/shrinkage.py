@@ -20,16 +20,18 @@ when d <= m; V holds the nonzero directions a'Q, Q = U mu^-1/2, of
 aa' = U diag(mu) U' and b = lam^-1/2 when d > m.  On that route a is never
 held: it is an elementwise function of the covariates, rebuilt in panels of
 ``PANEL_COLUMNS`` columns for each pass, and V is kept factored as Q (m x r)
-and the rows.  One pass forms the Gram matrix, lam's sums of squares, the
-correlation vector r and a r; applying the whitener to r is one more, so
-the only array of the sample's size is the sample itself.  When d <= m, a is
-formed whole, as one panel.  Scoring never forms a d x d inverse square
-root.
+and the rows.  One pass forms the Gram matrix and lam's sums of squares
+(``WeightedRows.gram``, kept with the rows) and every other product with a
+or a' is one more, so the only array of the sample's size is the sample
+itself.  When d <= m, a is formed whole, as one panel.  Scoring never forms
+a d x d inverse square root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +72,18 @@ def _add_square_sums(a: np.ndarray, row_sq: np.ndarray, row_quad: np.ndarray, co
     col_sq[...] = buf[0]
 
 
-@dataclass
+class Gram(NamedTuple):
+    """The Gram matrix of a (a'a when d <= m, aa' when d > m) and the sums
+    of squares of ``shrinkage_lambda``: per row of a the sums of its squares
+    and of its fourth powers, per column the sums of its squares."""
+
+    matrix: np.ndarray
+    row_sq: np.ndarray
+    row_quad: np.ndarray
+    col_sq: np.ndarray
+
+
+@dataclass(frozen=True)
 class WeightedRows:
     """The weighted standardized rows a (m x d) of the covariates, with a'a
     their weighted correlation matrix, and the rows' shares p.
@@ -81,14 +94,14 @@ class WeightedRows:
     needs.  Row i of a is sqrt(p_i) u_i, where u standardizes the
     covariates by the weighted means and variances of that one moment pass,
     the latter times (sum(w) - 1) / sum(w) for the divisor sum(w).
-    ``scales`` holds the inverse standard deviations, 0 on constant
+    ``scales`` holds the inverse standard deviations, 0 on the ``constant``
     columns, whose columns of a are all zero.
 
     a is never held.  ``panel`` builds any run of its columns from the
     covariates (kept as given, so a view of the parsed table stays one) by
     elementwise steps, so every entry has the same bits whatever the run.
-    ``scan`` is the one pass over a for the shrinkage weight and the
-    whitener; ``dot`` and ``tdot`` are the products a v and a'y.
+    ``gram`` is one pass over a, formed once; ``dot`` and ``tdot`` are the
+    products a v and a'y, one pass each.
     """
 
     x: np.ndarray
@@ -97,10 +110,7 @@ class WeightedRows:
     scales: np.ndarray
     p: np.ndarray
     root_p: np.ndarray
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
-    _constant: np.ndarray | None = field(default=None, init=False, repr=False)
-    _squares: tuple | None = field(default=None, init=False, repr=False)
-    _product: tuple | None = field(default=None, init=False, repr=False)
+    constant: np.ndarray
 
     @classmethod
     def of(cls, x: np.ndarray, weights: np.ndarray | None = None) -> WeightedRows:
@@ -114,7 +124,7 @@ class WeightedRows:
         ok = var > 0  # constant columns have variance exactly 0
         scales = np.zeros(var.shape)
         scales[ok] = 1.0 / np.sqrt(var[ok])
-        return cls(x, carried, summary.means, scales, p, np.sqrt(p))
+        return cls(x, carried, summary.means, scales, p, np.sqrt(p), scales == 0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -139,63 +149,25 @@ class WeightedRows:
             cols = slice(lo, lo + width)
             yield cols, self.panel(cols)
 
-    def scan(self, t: np.ndarray | None = None, factor: float = 1.0, gram: bool = True) -> np.ndarray | None:
-        """The one pass over a that the shrinkage weight and the whitener need.
-
-        It forms the all-zero columns (``constant``), the sums of squares
-        of ``shrinkage_lambda`` and, unless ``gram`` is False, the Gram
-        matrix (a'a when d <= m, aa' when d > m; it needs at least 3 rows).
-        Given t (m entries) it returns r = factor * a't, read-only, and the
-        same pass forms a r, which ``dot(r)`` then returns.
-        """
+    @cached_property
+    def gram(self) -> Gram:
+        """The ``Gram`` of a, in one pass over the panels; it needs at least 3 rows."""
         m, d = self.shape
-        if gram:
-            _need_three_rows(m)
-        dense = d <= m
-        row_sq, row_quad, ar = np.zeros((3, m))
+        _need_three_rows(m)
+        row_sq, row_quad = np.zeros((2, m))
         col_sq = np.empty(d)
-        constant = np.empty(d, dtype=bool)
-        r = None if t is None else np.empty(d)
         g = None
         for cols, a in self.panels():
             _add_square_sums(a, row_sq, row_quad, col_sq[cols])
-            constant[cols] = ~a.any(axis=0)
-            if t is not None:
-                r[cols] = factor * (a.T @ t)
-                ar += a @ r[cols]
-            if gram:
-                part = a.T @ a if dense else a @ a.T
-                if g is None:
-                    g = part
-                else:
-                    g += part
-        if gram:
-            self._gram = g
-        self._constant, self._squares = constant, (row_sq, row_quad, col_sq)
-        if r is not None:
-            r.flags.writeable = False  # so that the a r kept for it stays a r
-            self._product = (r, ar)
-        return r
-
-    @property
-    def gram(self) -> np.ndarray:
-        """a'a when d <= m and aa' when d > m, from ``scan``."""
-        if self._gram is None:
-            self.scan()
-        return self._gram
-
-    @property
-    def constant(self) -> np.ndarray:
-        """The columns that are constant over the rows, the all-zero columns of a."""
-        if self._constant is None:
-            self.scan(gram=False)
-        return self._constant
+            part = a.T @ a if d <= m else a @ a.T
+            if g is None:
+                g = part
+            else:
+                g += part
+        return Gram(g, row_sq, row_quad, col_sq)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
-        """a v for v of d entries or d x k: one pass over the panels, or
-        none for the r that ``scan`` returned."""
-        if self._product is not None and v is self._product[0]:
-            return self._product[1]
+        """a v for v of d entries or d x k, in one pass over the panels."""
         out = np.zeros((len(self.p),) + np.shape(v)[1:])
         for cols, a in self.panels():
             out += a @ v[cols]
@@ -253,11 +225,11 @@ def shrinkage_lambda(
     sum_j a_ij^4] / p_i and sum_{j!=k} r_jk^2 = ||a'a||_F^2 - sum_j (a'a)_jj^2,
     so the cost is O(m^2 d) when d > m rows carry weight and O(m d^2)
     otherwise; no d x d pair loop is run.  The sums of squares and the Gram
-    matrix come from the rows' one ``scan``.  An all-zero denominator (no
+    matrix are the rows' ``gram``.  An all-zero denominator (no
     off-diagonal correlation at all) yields lam = 1 by convention.
     ``whitener_from_data`` and ``cars.weighted_cars_score`` pass their
     prepared ``WeightedRows`` in place of the covariates (and no weights),
-    so the pass over a runs once.
+    so that pass over a runs once.
     """
     rows = covariates
     if not isinstance(rows, WeightedRows):
@@ -265,10 +237,9 @@ def shrinkage_lambda(
         if x.shape[1] < 2:
             raise ValueError("shrinkage weight needs at least 2 covariates")
         rows = WeightedRows.of(x, weights)
-    gram, p = rows.gram, rows.p
-    row_sq, row_quad, col_sq = rows._squares
-    v_sq_sum = float(((row_sq**2 - row_quad) / p).sum())
-    cross_sq = float((gram * gram).sum() - (col_sq**2).sum())
+    g, p = rows.gram, rows.p
+    v_sq_sum = float(((g.row_sq**2 - g.row_quad) / p).sum())
+    cross_sq = float((g.matrix * g.matrix).sum() - (g.col_sq**2).sum())
     if cross_sq <= 0:
         return 1.0
     p_sq = float(p @ p)
@@ -392,7 +363,7 @@ def whitener_from_data(
         identity = InverseSqrtCorrelation(1.0, np.empty((d, 0)), np.empty(0), np.zeros(d, dtype=bool))
         return identity, (0.0 if lam is None else lam), 1.0
 
-    gram, constant = rows.gram, rows.constant
+    gram = rows.gram.matrix
     dense = d <= rows.shape[0]
     if dense:
         corr = _unit_diagonal(gram)
@@ -413,4 +384,4 @@ def whitener_from_data(
         )
     background = 0.0 if dense else lam**-0.5
     scales = (lam + (1.0 - lam) * mu) ** -0.5
-    return InverseSqrtCorrelation(background, basis, scales, constant, factor), lam, float(min_eig)
+    return InverseSqrtCorrelation(background, basis, scales, rows.constant, factor), lam, float(min_eig)

@@ -68,6 +68,8 @@ class ScenarioConfig:
             raise BadValue(
                 f"block_magnitudes must be finite and in [0, 1), got {self.block_magnitudes}"
             )
+        if self.seed < 0:
+            raise BadValue(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

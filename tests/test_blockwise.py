@@ -166,7 +166,7 @@ def test_shrinkage_lambda_blocks(monkeypatch, weighted, cells):
     sample, weights = weighted
     rows = shrinkage.WeightedRows.of(sample.covariates, weights)
     a, p = weighted_rows_oneshot(sample.covariates, weights)
-    ref = lambda_oneshot(a, p, rows.gram)
+    ref = lambda_oneshot(a, p, rows.gram.matrix)
     assert 0.0 < ref < 1.0
     monkeypatch.setattr(data, "BLOCK_CELLS", cells)
     assert bits(shrinkage.shrinkage_lambda(rows)) == bits(ref)
@@ -225,9 +225,10 @@ def test_d_above_m_basis_is_kept_factored(monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 7, 50])
 def test_panel_products_match_one_shot(monkeypatch, width):
-    """With several panels (d > m) the products of ``scan``, ``dot`` and
-    ``tdot`` and the shrinkage weight equal those of a materialized a up to
-    rounding, and none of them depends on ``data.BLOCK_CELLS``."""
+    """With several panels (d > m) the Gram matrix and the products of
+    ``dot`` and ``tdot`` and the shrinkage weight equal those of a
+    materialized a up to rounding, and none of them depends on
+    ``data.BLOCK_CELLS``."""
     monkeypatch.setattr(shrinkage, "PANEL_COLUMNS", width)
     sample = block_sample(*SHAPES[1], seed=sum(SHAPES[1]))
     weights = cars.scoring_weights(sample).weights
@@ -237,8 +238,8 @@ def test_panel_products_match_one_shot(monkeypatch, width):
 
     def products():
         rows = shrinkage.WeightedRows.of(sample.covariates, weights)
-        r = rows.scan(t, 0.5)
-        return [rows.gram, r, rows.dot(r), rows.dot(v), rows.tdot(t), rows.constant,
+        r = 0.5 * rows.tdot(t)
+        return [rows.gram.matrix, r, rows.dot(r), rows.dot(v), rows.tdot(t), rows.constant,
                 shrinkage.shrinkage_lambda(rows)]
 
     monkeypatch.setattr(data, "BLOCK_CELLS", ONE_BLOCK)

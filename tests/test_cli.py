@@ -408,6 +408,28 @@ def test_simulate_magnitude_outside_unit_interval_exit_2(tmp_path, capsys, magni
 
 
 @pytest.mark.parametrize(
+    "config, argv",
+    [
+        (SCENARIO, ["--seed", "-1", "simulate", "--config", "{cfg}", "--output-dir", "{out}"]),
+        (SCENARIO.replace("seed = 9", "seed = -5"),
+         ["simulate", "--config", "{cfg}", "--output-dir", "{out}"]),
+        (SCENARIO.replace("seed = 9", "seed = -3"),
+         ["bench", "--config", "{cfg}", "--output", "{out}/report.csv"]),
+    ],
+    ids=["simulate-flag", "simulate-config", "bench-grid"],
+)
+def test_negative_seed_exit_2_without_output(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    code = main([arg.format(cfg=cfg, out=out) for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("survscreen: BadValue: seed must be >= 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bench", "--config", "{cfg}", "--output", "{out}/report.csv", "--replicates", "-1"],

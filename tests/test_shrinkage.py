@@ -386,8 +386,8 @@ def test_whitener_lambda_from_shared_gram_is_shrinkage_lambda(n, d, weighted):
 
 @pytest.mark.parametrize("d", [6, 40])
 def test_cars_score_standardizes_the_rows_once(monkeypatch, d):
-    # one moment pass, then one pass over the weighted rows a for r, the Gram
-    # matrix and lam, and a second one for the factored whitener when d > m
+    # one moment pass, then one pass over the weighted rows a for the Gram
+    # matrix and lam, one for r, and two for the factored whitener when d > m
     from survscreen import SurvivalSample, cars_score
     from survscreen import data, shrinkage
 
@@ -404,4 +404,26 @@ def test_cars_score_standardizes_the_rows_once(monkeypatch, d):
     scores = cars_score(sample)
     assert 0 < scores.diagnostics["shrinkage"] < 1
     assert len(calls) == 1
-    assert len(passes) == (1 if d < n else 2)  # d > m when d > n
+    assert len(passes) == (2 if d < n else 4)  # d > m when d > n
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_constant_columns_are_the_all_zero_columns_of_a(weighted):
+    # ``constant`` is set from the scales, and it flags exactly the columns
+    # that the panels zero, over column scales from 1e-150 to 1e150, exactly
+    # constant columns and columns constant only on the rows of weight > 0
+    from survscreen.shrinkage import WeightedRows
+
+    rng = np.random.default_rng(79)
+    for _ in range(60):
+        n, d = rng.integers(4, 12), rng.integers(2, 10)
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150, size=d)
+        x[:, rng.uniform(size=d) < 0.3] = rng.choice([0.0, 2.5, -1e150, 3e-150])
+        w = None
+        if weighted:
+            w = rng.uniform(0.2, 2.0, size=n)
+            w[rng.permutation(n)[: n // 3]] = 0.0
+            x[w > 0, rng.integers(d)] = -4.0  # varies only on rows that drop out
+        rows = WeightedRows.of(x, w)
+        assert rows.constant.dtype == bool and rows.constant.shape == (d,)
+        npt.assert_array_equal(rows.constant, ~rows.panel(slice(None)).any(axis=0))
