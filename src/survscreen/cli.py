@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from .cars import DEFAULT_NU, ScoreVector, cars_score, rank_by_magnitude
 from .cox import cox_scores
 from .data import fmt_float, load_sample, parse_cell, read_table, save_sample, write_table
-from .errors import BadValue, NumericalError, SurvScreenError, TooFewScores, ValidationError
+from .errors import BadValue, SurvScreenError, TooFewScores, ValidationError
 from .fdr import null_model_curve, select as fdr_select
 from .metrics import pr_auc, rank_correlation, selection_confusion
 from .simulate import Scenario, load_scenario_config, replicate_rng
@@ -232,10 +232,7 @@ def main(argv=None) -> int:
     except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"survscreen: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"survscreen: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except SurvScreenError as exc:  # safety net for new error kinds
+    except SurvScreenError as exc:  # NumericalError, and any other kind
         print(f"survscreen: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

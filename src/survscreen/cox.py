@@ -12,7 +12,7 @@ each fit is bit-identical to its column's alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +26,15 @@ MAX_ITER = 25
 BLOCK_CELLS = 1 << 14  # covariates x observations per block: 128 KB work arrays stay in cache
 
 
-@dataclass
-class CoxFit:
-    """Result of a single univariate Cox fit."""
+class CoxFits(NamedTuple):
+    """Univariate Cox fits, one element of each array per covariate."""
 
-    beta_hat: float
-    standard_error: float
-    z_score: float
-    iterations: int
-    converged: bool
-    flag: str | None = None  # None, "degenerate" or "separation"
+    beta_hat: np.ndarray
+    standard_error: np.ndarray
+    z_score: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    flag: np.ndarray  # objects: None, "degenerate" or "separation"
 
 
 def _breslow_parts(z, z2, z_ev, risk, beta, work):
@@ -74,9 +73,10 @@ def _breslow_parts(z, z2, z_ev, risk, beta, work):
     return loglik, score, info
 
 
-def _fit_rows(xt, order, ev_pos, risk, work) -> list[CoxFit]:
-    """One CoxFit per row of xt (covariates x observations in input order);
-    ``order`` sorts by time, ``ev_pos`` picks the sorted events."""
+def _fit_rows(xt, order, ev_pos, risk, work, fits: CoxFits) -> None:
+    """Write the fit of each non-constant row of xt (covariates x
+    observations in input order) into the same element of each array of
+    ``fits``; ``order`` sorts by time, ``ev_pos`` picks the sorted events."""
     sd = xt.std(axis=1, ddof=1)
     # a constant row is degenerate even when mean round-off leaves sd ~ 1e-16
     live = np.flatnonzero((sd != 0) & ~(xt == xt[:, :1]).all(axis=1))
@@ -127,16 +127,14 @@ def _fit_rows(xt, order, ev_pos, risk, work) -> list[CoxFit]:
     se_internal[info > 0] = 1.0 / np.sqrt(info[info > 0])
     z_score = np.divide(beta, se_internal, out=np.zeros(k), where=np.isfinite(se_internal))
 
-    fits = [CoxFit(0.0, np.inf, 0.0, 0, True, flag="degenerate") for _ in xt]
     fields = (beta / sd, se_internal / sd, z_score, iterations, converged,
               np.where(separated, "separation", None))
-    for j, *fit in zip(live.tolist(), *(f.tolist() for f in fields)):
-        fits[j] = CoxFit(*fit)
-    return fits
+    for out, values in zip(fits, fields):
+        out[live] = values
 
 
-def _fit_columns(times, events, x) -> list[CoxFit]:
-    """One CoxFit per column of the n x d matrix x.
+def _fit_columns(times, events, x) -> CoxFits:
+    """The univariate Cox fits of the columns of the n x d matrix x.
 
     A constant column carries no information and gets z = 0 with the
     "degenerate" flag.  A monotone partial likelihood (perfect separation)
@@ -154,11 +152,14 @@ def _fit_columns(times, events, x) -> list[CoxFit]:
     t_s = times[order]
     ev_pos = np.flatnonzero(events[order] == 1)
     risk = np.searchsorted(t_s, t_s[ev_pos], side="left")
-    fits, work = [], None
-    for _, xt in column_blocks(x, cells=BLOCK_CELLS):
+    d = x.shape[1]
+    fits = CoxFits(np.zeros(d), np.full(d, np.inf), np.zeros(d), np.zeros(d, dtype=int),
+                   np.ones(d, dtype=bool), np.full(d, "degenerate", dtype=object))
+    work = None
+    for cols, xt in column_blocks(x, cells=BLOCK_CELLS):
         if work is None:
             work = np.empty((3, *xt.shape))  # every block's scratch: the first is the widest
-        fits += _fit_rows(xt, order, ev_pos, risk, work)
+        _fit_rows(xt, order, ev_pos, risk, work, CoxFits._make(f[cols] for f in fits))
     return fits
 
 
@@ -170,9 +171,8 @@ def cox_scores(sample: SurvivalSample) -> ScoreVector:
     """
     fits = _fit_columns(sample.log_times, sample.events, sample.covariates)
     diagnostics = {
-        "flags": [f.flag for f in fits],
-        "iterations": np.array([f.iterations for f in fits], dtype=int),
-        "converged": np.array([f.converged for f in fits], dtype=bool),
+        "flags": fits.flag.tolist(),
+        "iterations": fits.iterations,
+        "converged": fits.converged,
     }
-    z = np.array([f.z_score for f in fits], dtype=float)
-    return ScoreVector(z, "cox", names=sample.covariate_names, diagnostics=diagnostics)
+    return ScoreVector(fits.z_score, "cox", names=sample.covariate_names, diagnostics=diagnostics)

@@ -39,7 +39,9 @@ class SurvivalSample:
     """Log observed times, event indicators and an n x d covariate matrix.
 
     events[i] is 1 when the event was observed and 0 when the observation
-    is censored.  ``times`` holds the raw-scale observed times.
+    is censored.  ``times`` holds the raw-scale observed times.  A
+    covariate with a non-finite value, or with one so large that n squares
+    of twice it overflow, raises BadValue.
     """
 
     log_times: np.ndarray
@@ -71,6 +73,15 @@ class SurvivalSample:
         if self.covariate_names is not None:
             if len(self.covariate_names) != self.covariates.shape[1]:
                 raise ValueError("covariate_names length does not match d")
+        # the moments of a column sum at most n squares of (2 max|x|)
+        bound = np.sqrt(np.finfo(float).max / n) / 2
+        big = np.maximum(self.covariates.max(axis=0), -self.covariates.min(axis=0))
+        bad = np.flatnonzero(~(big < bound))
+        if bad.size:
+            j = int(bad[0])
+            what = (f"a value of magnitude {big[j]:.6g}, whose squares overflow over {n} rows"
+                    if np.isfinite(big[j]) else "a non-finite value")
+            raise BadValue(f"covariate {self.names()[j]!r} holds {what}")
 
     @classmethod
     def from_times(cls, times, events, covariates, covariate_names=None):

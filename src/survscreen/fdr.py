@@ -2,7 +2,8 @@
 variable selection.
 
 The null component is a half-normal on |score| whose scale is fitted by
-truncated maximum likelihood on the central part of the distribution.
+truncated maximum likelihood on the central part of the distribution,
+its stationarity equation solved by bisection of a bracket of scales.
 Tail-area q-values compare the fitted null tail with the empirical tail
 and are monotonized so that selections are nested across thresholds.  The
 local fdr divides the null density by a Grenander (decreasing) estimate of
@@ -39,55 +40,6 @@ class SelectionResult:
     alpha: float | None = None
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
-
-    Brent's (1973) method, step for step as ``scipy.optimize.brentq``
-    (its C core): the same iterates, so the same root to the last bit.
-    Raises RuntimeError when ``maxiter`` steps do not converge.
-    """
-    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                try:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                except ZeroDivisionError:  # C's inf or nan, which fails the test below
-                    stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
-
-
 #: widened second-stage truncation: the fitted null 95% magnitude quantile
 _REFIT_Z = 1.959963984540054
 
@@ -97,10 +49,11 @@ def _truncated_mle(a: np.ndarray, c: float) -> float:
 
     Parameterized as sigma = c * t so the solve is scale-free, which keeps
     the whole pipeline equivariant under rescaling of the scores.  The
-    stationarity equation is root-solved on t in [1/50, 50] to near machine
-    precision.  The truncated half-normal is an exponential family in
-    -1/(2 sigma^2) and its log-likelihood is concave in that parameter, so
-    it has at most one stationary point.  When the bracket holds none, the
+    truncated half-normal is an exponential family in -1/(2 sigma^2) and
+    its log-likelihood is concave in that parameter, so it has at most one
+    stationary point.  When the bracket t in [1/50, 50] holds it, the
+    stationarity equation changes sign there once, and the bracket is
+    bisected until its ends are adjacent floats.  When it holds none, the
     likelihood rises towards a bound and the scale is not identified: 0 at
     the lower bound (the magnitudes sit at 0) and inf at the upper one
     (they are no denser near 0 than near c; at t = 50 the density varies
@@ -120,7 +73,13 @@ def _truncated_mle(a: np.ndarray, c: float) -> float:
         return 0.0
     if grad(hi) <= 0:
         return np.inf
-    return c * _brentq(grad, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    # grad(lo) < 0 <= grad(hi) holds throughout
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if grad(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return c * mid
 
 
 def fit_null(scores: np.ndarray) -> tuple[float, float]:
@@ -134,9 +93,9 @@ def fit_null(scores: np.ndarray) -> tuple[float, float]:
     A first pass with no identified scale gives the refit cutoff its
     limit: every magnitude for an infinite scale, the same cutoff (and so
     the same fit) for a zero one.  A refit with no identified scale raises
-    DegenerateScores.  eta0 is the fraction of
-    scores inside the final cutoff divided by the fitted null mass there,
-    clipped to (0, 1].
+    DegenerateScores.  Each pass bisects its scale bracket down to adjacent
+    floats.  eta0 is the fraction of scores inside the final cutoff divided
+    by the fitted null mass there, clipped to (0, 1].
     """
     a = np.abs(np.asarray(scores, dtype=float))
     d = a.shape[0]

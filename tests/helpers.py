@@ -3,15 +3,16 @@
 import numpy as np
 
 from survscreen.cars import VARIANCE_FLOOR
-from survscreen.cox import CoxFit, _fit_columns
+from survscreen.cox import CoxFits, _fit_columns
 from survscreen.data import CovariateSummary, SurvivalSample, column_blocks, covariate_summary
 from survscreen.errors import DegenerateOutcome
 
 
-def cox_univariate(times, events, x) -> CoxFit:
-    """The univariate Cox fit of one covariate vector x: the fit that
-    ``cox_scores`` makes of each column (see ``cox._fit_columns``)."""
-    return _fit_columns(times, events, np.asarray(x, dtype=float)[:, None])[0]
+def cox_univariate(times, events, x) -> CoxFits:
+    """The univariate Cox fit of one covariate vector x, each field a scalar:
+    the fit that ``cox_scores`` makes of each column (see ``cox._fit_columns``)."""
+    fits = _fit_columns(times, events, np.asarray(x, dtype=float)[:, None])
+    return fits._make(f[0] for f in fits)
 
 
 # The IPC-weighted moment estimators that CARS scoring took its correlation

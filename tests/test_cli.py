@@ -281,6 +281,24 @@ def test_score_without_covariates_exit_2(tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["cars", "cox"])
+def test_score_covariate_whose_squares_overflow_exit_2(tmp_path, capsys, method):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 4))
+    x[:, 2] *= 1e160
+    data = tmp_path / "huge.csv"
+    data.write_text("time,status,x1,x2,x3,x4\n" + "".join(
+        f"{i + 1},{i % 2}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(x.tolist())
+    ))
+    out = tmp_path / "o.csv"
+    code = main(["score", "--input", str(data), "--method", method, "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("survscreen: BadValue: covariate 'x3' holds a value of magnitude")
+    assert not out.exists()
+
+
 REPORT_HEADER = ",".join(bench.REPORT_HEADER) + "\n"
 FULL_KEY = (
     "n=60;d=12;influential_fraction=0.25;influential_block=3;explained_variance=0.75;"

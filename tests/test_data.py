@@ -91,7 +91,7 @@ def test_too_few_rows(tmp_path):
 
 
 HEAD = "time,status,x,y"
-ROWS = ["1.5,1,0.25,-1e-3", "2,0,3.5,7", "0.5,1,-2,1e300"]
+ROWS = ["1.5,1,0.25,-1e-3", "2,0,3.5,7", "0.5,1,-2,1e150"]
 
 
 def lines(*rows, end="\n"):
@@ -148,6 +148,14 @@ BULK = {
 }
 
 
+#: the files that load; every other one ends in an error
+PARSED = {
+    "lf", "lone-cr", "crlf", "mixed-endings", "no-final-newline", "quoted-cell",
+    "quoted-header-newline", "underscore", "space-padded", "tab-padded", "blank-mid",
+    "blank-end", "blank-everywhere", "arabic-digit",
+}
+
+
 @pytest.mark.parametrize("name", LOADER_FILES)
 def test_loader_matches_the_csv_loop(tmp_path, monkeypatch, capfd, name):
     path = tmp_path / "d.csv"
@@ -167,6 +175,7 @@ def test_loader_matches_the_csv_loop(tmp_path, monkeypatch, capfd, name):
     assert caught == []
     assert capfd.readouterr().err == ""
     assert taken == [name in BULK]
+    assert isinstance(got[0], list) == (name in PARSED)
     monkeypatch.setattr(data, "_parsed_table", lambda *args: None)
     assert got == load_outcome(path)
 
@@ -177,6 +186,7 @@ def test_blank_lines_stay_on_the_bulk_parse(tmp_path, end):
     blanks = write_csv(tmp_path / "blanks.csv", lines("", ROWS[0], "", *ROWS[1:], "", end=end))
     for path in (plain, blanks):
         assert data._parsed_table(path, 1, 4) is not None
+    assert isinstance(load_outcome(plain)[0], list)
     assert load_outcome(blanks) == load_outcome(plain)
 
 
@@ -207,6 +217,23 @@ def naive_summary(x):
         [sum((x[i, j] - means[j]) ** 2 for i in range(n)) / (n - 1) for j in range(d)]
     )
     return means, variances
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_covariate_rejected(value):
+    x = np.arange(12.0).reshape(4, 3)
+    x[2, 1] = value
+    with pytest.raises(BadValue, match="covariate 'b' holds a non-finite value"):
+        SurvivalSample.from_times([1, 2, 3, 4], [1, 0, 1, 1], x, ["a", "b", "c"])
+
+
+def test_covariate_whose_squares_overflow_rejected():
+    x = np.ones((4, 2))
+    x[:, 1] = [1.0, -1e154, 0.0, 1e153]  # 4 (2e154)^2 overflows; 4 (2e153)^2 does not
+    with pytest.raises(BadValue, match="covariate 'x2' holds a value of magnitude 1e[+]154"):
+        SurvivalSample.from_times([1, 2, 3, 4], [1, 0, 1, 1], x)
+    x[1, 1] = -1e153
+    assert SurvivalSample.from_times([1, 2, 3, 4], [1, 0, 1, 1], x).d == 2
 
 
 def test_summary_constant_column_flagged():

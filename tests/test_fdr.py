@@ -8,7 +8,7 @@ from scipy.special import erf, erfc
 
 from survscreen import fdr, select
 from survscreen.errors import DegenerateScores, TooFewScores
-from survscreen.fdr import _brentq, _grenander_density, _pava_decreasing, fit_null, q_values
+from survscreen.fdr import _grenander_density, _pava_decreasing, fit_null, q_values
 
 
 def pava_minmax_oracle(y, w):
@@ -212,62 +212,48 @@ def test_scale_equivariance():
     npt.assert_array_equal(b.selected, a.selected)
 
 
-def random_brackets(rng, count):
-    """(f, a, b) with f(a) and f(b) of opposite signs: smooth, steep, flat
-    and kinked functions, roots anywhere in the bracket or at its ends."""
-    out = []
-    while len(out) < count:
-        a, b = np.sort(rng.uniform(-3.0, 3.0, size=2) * 10.0 ** rng.integers(-3, 3))
-        root = a + (b - a) * float(rng.choice([rng.uniform(), 0.0, 1.0], p=[0.9, 0.05, 0.05]))
-        kind = len(out) % 5
-        c = rng.uniform(0.1, 5.0)
-        if kind == 0:
-            f = lambda x, r=root, c=c: c * (x - r) + (x - r) ** 3
-        elif kind == 1:
-            f = lambda x, r=root, c=c: math.tanh(c * (x - r) * 1e3)
-        elif kind == 2:
-            f = lambda x, r=root, c=c / (b - a): math.expm1(c * (x - r)) - 1e-3 * (x - r) ** 2
-        elif kind == 3:
-            f = lambda x, r=root, c=c: abs(x - r) ** 0.3 * math.copysign(1.0, x - r) * c
-        else:
-            f = lambda x, r=root, c=c: np.float64(x - r) * np.exp(-c * x * x)
-        fa, fb = f(a), f(b)
-        if a < b and (fa == 0 or fb == 0 or (fa < 0) != (fb < 0)):
-            out.append((f, float(a), float(b)))
-    return out
+def scipy_truncated_mle(a, c):
+    """fdr._truncated_mle with scipy's brentq solving the stationarity
+    equation, written in sigma: the derivative of the half-normal
+    log-likelihood of the magnitudes at or below c, truncated to [0, c]."""
+    core = a[a <= c]
+    m, sq = core.shape[0], float((core**2).sum())
+
+    def score(sigma):
+        u = c / (sigma * np.sqrt(2.0))
+        trunc = m * np.sqrt(2.0 / np.pi) * c * np.exp(-u * u) / (sigma**2 * erf(u))
+        return -m / sigma + sq / sigma**3 + trunc
+
+    lo, hi = c / 50.0, c * 50.0
+    if score(lo) <= 0:
+        return 0.0
+    if score(hi) >= 0:
+        return np.inf
+    return brentq(score, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("tols", [(1e-15, 8.9e-16), (2e-12, 4 * np.finfo(float).eps), (1e-6, 1e-10)])
-def test_brentq_matches_scipy_bitwise(tols):
-    xtol, rtol = tols
-    for f, a, b in random_brackets(np.random.default_rng(17), 1200):
-        want = brentq(f, a, b, xtol=xtol, rtol=rtol)
-        assert _brentq(f, a, b, xtol=xtol, rtol=rtol) == want
-
-
-def test_brentq_matches_scipy_on_the_null_likelihood(monkeypatch):
-    # fit_null with scipy's root finder in place of the port: every field equal
+def test_null_scale_matches_scipy_brentq(monkeypatch):
     rng = np.random.default_rng(23)
     vectors = [rng.normal(0.0, rng.uniform(0.01, 10.0), size=rng.integers(20, 400))
                for _ in range(150)]
     vectors += [np.concatenate([rng.normal(0.0, 0.1, 900), np.abs(rng.normal(0.5, 0.1, 100))])]
 
-    def outcome(v):
-        try:
-            return fit_null(v)
-        except DegenerateScores as exc:
-            return str(exc)
+    def null_fits():
+        out = []
+        for v in vectors:
+            try:
+                out.append(fit_null(v))
+            except DegenerateScores:
+                out.append(None)
+        return out
 
-    ported = [outcome(v) for v in vectors]
-    monkeypatch.setattr(fdr, "_brentq", lambda *a, **k: float(brentq(*a, **k)))
-    assert [outcome(v) for v in vectors] == ported
-
-
-def test_brentq_raises_without_sign_change_or_convergence():
-    with pytest.raises(ValueError):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    with pytest.raises(RuntimeError):
-        _brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=2)
+    shipped = null_fits()
+    monkeypatch.setattr(fdr, "_truncated_mle", scipy_truncated_mle)
+    for got, want in zip(shipped, null_fits(), strict=True):
+        assert (got is None) == (want is None)
+        if got is not None:
+            npt.assert_allclose(got[0], want[0], rtol=1e-13, atol=0)
+            npt.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
 
 
 # fdr takes erf and erfc from the standard library; scipy is the oracle
