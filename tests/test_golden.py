@@ -64,3 +64,31 @@ def test_pipeline_reproduces_golden_outputs(tmp_path):
     with open(DATA / "golden_metrics.csv", newline="") as fh:
         got = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
     assert got["tp"] == 6 and got["fp"] == 0 and got["fn"] == 0
+
+
+WHITEN = DATA / "whiten"
+
+
+@pytest.mark.parametrize("method", ["cars", "cox"])
+@pytest.mark.parametrize("d", [60, 600])
+def test_whitening_samples_reproduce_golden_outputs(tmp_path, capsys, d, method):
+    """score and select on two n=120 block-design samples whose estimated
+    shrinkage weight is below 1, so the CARS whitener is not the identity:
+    d=60 takes the d <= m route and d=600 the d > m one, in two panels."""
+    stem = f"d{d}_{method}"
+    scores = tmp_path / "scores.csv"
+    assert main(["score", "--input", str(WHITEN / f"d{d}.csv"), "--method", method,
+                 "--output", str(scores)]) == 0
+    assert_csv_close(scores, WHITEN / f"{stem}_scores.csv")
+    if method == "cars":
+        diag = dict(cell.split("=") for cell in capsys.readouterr().err.split()[1:])
+        lam, min_eig = float(diag["shrinkage"]), float(diag["min_eigenvalue"])
+        assert 0.0 < lam < 1.0
+        assert (min_eig == lam) == (d == 600)  # d > m leaves a complement at lam
+
+    selection = tmp_path / "selection.csv"
+    nullcurve = tmp_path / "nullcurve.csv"
+    assert main(["select", "--scores", str(scores), "--alpha", "0.1",
+                 "--output", str(selection), "--diagnostics", str(nullcurve)]) == 0
+    assert_csv_close(selection, WHITEN / f"{stem}_selection.csv")
+    assert_csv_close(nullcurve, WHITEN / f"{stem}_nullcurve.csv")
