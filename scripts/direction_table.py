@@ -80,7 +80,7 @@ def ipc_scores(sample, lam, weighting):
         summary.variances[ok] * (w @ y**2 / n)
     )
     whitener, _, _ = whitener_from_data(x, lam)
-    theta = whitener.apply(r)
+    theta = whitener.to_matrix() @ r
     theta[summary.degenerate] = 0.0
     return theta, w
 

@@ -24,10 +24,9 @@ The covariate moments are taken in one pass (``data.covariate_summary``),
 and the correlation vector, the shrinkage weight and the whitener all come
 from the rows standardized by them (``weighted_cars_score``): one pass over
 those rows forms the Gram matrix that the shrinkage weight and the whitener
-share and one more forms r, and applying the whitener to r takes two more
-when d exceeds the rows that carry weight.  Those rows are rebuilt from the
-covariates in panels for each pass, so scoring makes no copy of the
-sample's size.
+share, and one more forms the whitened correlation vector on either route.
+Those rows are rebuilt from the covariates in panels for each pass, so
+scoring makes no copy of the sample's size.
 """
 
 from __future__ import annotations
@@ -83,13 +82,16 @@ def weighted_cars_score(
 
     The weighted rows a (``WeightedRows``) are standardized once.  With p
     their shares and y~ the p-weighted standardized log time, the
-    correlation vector is r = sqrt((sum(w) - 1) / sum(w)) a'(sqrt(p) y~):
-    each weighted covariance over the sum(w) - 1 divisor covariate standard
-    deviation and the sum(w) divisor outcome one, so |r_j| <= sqrt((n-1)/n)
-    when w sums to n.  lam (unless ``lambda_override`` is given) and the
-    whitener share the rows' one Gram pass.  Constant covariates score
-    exactly 0; an outcome variance at most ``VARIANCE_FLOOR`` raises
-    DegenerateOutcome.
+    correlation vector is r = c a'v with v = sqrt(p) y~ and
+    c = sqrt((sum(w) - 1) / sum(w)): each weighted covariance over the
+    sum(w) - 1 divisor covariate standard deviation and the sum(w) divisor
+    outcome one, so |r_j| <= sqrt((n-1)/n) when w sums to n.  lam (unless
+    ``lambda_override`` is given) and the whitener W = b I + V diag(g - b) V'
+    share the rows' one Gram pass, and theta = W r takes one more: V is the
+    whitener's basis when d <= m, and V = a'Q when d > m, where
+    W a' = a'(b I + Q diag(g - b) Q'G) for the Gram matrix G = aa'.
+    Constant covariates score exactly 0; an outcome variance at most
+    ``VARIANCE_FLOOR`` raises DegenerateOutcome.
     """
     if lambda_override is not None and not 0.0 <= lambda_override <= 1.0:
         raise BadValue("lambda_override must be in [0, 1]")
@@ -101,10 +103,16 @@ def weighted_cars_score(
     if var_y <= VARIANCE_FLOOR:
         raise DegenerateOutcome(f"weighted outcome variance {var_y:.3e} is not positive")
     total = float(weights[rows.carried].sum())
-    corr = np.sqrt((total - 1.0) / total) * rows.tdot(rows.root_p * (y / np.sqrt(var_y)))
+    c = np.sqrt((total - 1.0) / total)
+    v = rows.root_p * (y / np.sqrt(var_y))
 
     whitener, lam_used, min_eig = whitener_from_data(rows, lambda_override)
-    theta = whitener.apply(corr)
+    q, g, b = whitener.basis, whitener.scales, whitener.background
+    if whitener.rows is None:
+        corr = c * rows.tdot(v)
+        theta = b * corr + q @ ((g - b) * (q.T @ corr))
+    else:
+        theta = c * rows.tdot(b * v + q @ ((g - b) * (q.T @ (rows.gram.matrix @ v))))
     theta[rows.constant] = 0.0
     return ScoreVector(
         theta,

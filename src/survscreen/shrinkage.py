@@ -21,10 +21,11 @@ aa' = U diag(mu) U' and b = lam^-1/2 when d > m.  On that route a is never
 held: it is an elementwise function of the covariates, rebuilt in panels of
 ``PANEL_COLUMNS`` columns for each pass, and V is kept factored as Q (m x r)
 and the rows.  One pass forms the Gram matrix and lam's sums of squares
-(``WeightedRows.gram``, kept with the rows) and every other product with a
-or a' is one more, so the only array of the sample's size is the sample
-itself.  When d <= m, a is formed whole, as one panel.  Scoring never forms
-a d x d inverse square root.
+(``WeightedRows.gram``, kept with the rows) and every product with a' is one
+more, so the only array of the sample's size is the sample itself.  When
+d <= m, a is formed whole, as one panel.  Scoring
+(``cars.weighted_cars_score``) applies W to a'v from these eigenpairs and
+never forms a d x d inverse square root.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class WeightedRows:
     a is never held.  ``panel`` builds any run of its columns from the
     covariates (kept as given, so a view of the parsed table stays one) by
     elementwise steps, so every entry has the same bits whatever the run.
-    ``gram`` is one pass over a, formed once; ``dot`` and ``tdot`` are the
-    products a v and a'y, one pass each.
+    ``gram`` is one pass over a, formed once; ``tdot`` is the product a'y,
+    one pass per call.
     """
 
     x: np.ndarray
@@ -165,13 +166,6 @@ class WeightedRows:
             else:
                 g += part
         return Gram(g, row_sq, row_quad, col_sq)
-
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        """a v for v of d entries or d x k, in one pass over the panels."""
-        out = np.zeros((len(self.p),) + np.shape(v)[1:])
-        for cols, a in self.panels():
-            out += a @ v[cols]
-        return out
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
         """a'y for y of m entries or m x k, in one pass over the panels."""
@@ -264,8 +258,8 @@ class InverseSqrtCorrelation:
     V a d x r matrix of orthonormal eigendirections, g their inverse square
     root eigenvalues and b the one of the orthogonal complement.  V is
     ``basis`` itself, or a'basis when ``rows`` (the ``WeightedRows`` a,
-    m x d) is set: then ``basis`` is m x r and V is never formed, each
-    product with it one pass over the panels of a.  A column that is constant
+    m x d) is set: then ``basis`` is m x r and only ``to_matrix`` forms V,
+    in one pass over the panels of a.  A column that is constant
     over the rows (``constant``) has correlation 0 with every other column
     and 1 with itself, so its row and column of W are those of the
     identity.  An empty V with b = 1 is the exact identity.
@@ -286,24 +280,8 @@ class InverseSqrtCorrelation:
         """The dense d x d form (``to_matrix``)."""
         return self.to_matrix()
 
-    def _directions(self, y: np.ndarray) -> np.ndarray:
-        """V y."""
-        return self.basis @ y if self.rows is None else self.rows.tdot(self.basis @ y)
-
-    def _coordinates(self, vec: np.ndarray) -> np.ndarray:
-        """V' vec."""
-        return self.basis.T @ vec if self.rows is None else self.basis.T @ self.rows.dot(vec)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product with the inverse square root."""
-        vec = np.asarray(vec, dtype=float)
-        b = self.background
-        out = b * vec + self._directions((self.scales - b) * self._coordinates(vec))
-        out[self.constant] = vec[self.constant]
-        return out
-
     def to_matrix(self) -> np.ndarray:
-        v = self._directions(np.eye(len(self.scales)))
+        v = self.basis if self.rows is None else self.rows.tdot(self.basis)
         m = (v * (self.scales - self.background)) @ v.T
         m[np.diag_indices(self.dim)] += self.background
         m[self.constant, self.constant] = 1.0

@@ -123,7 +123,7 @@ def test_criterion_3_no_censoring_degeneration():
         # r of the unit-weight moment estimators, whitened by the same whitener
         r = oracle_correlations(sample, np.ones(n))
         w, _, _ = whitener_from_data(sample.covariates)
-        worst = max(worst, float(np.abs(sv.scores - w.apply(r)).max() / np.abs(r).max()))
+        worst = max(worst, float(np.abs(sv.scores - w.to_matrix() @ r).max() / np.abs(r).max()))
     report(
         3,
         exact == 20 and worst <= 1e-12,

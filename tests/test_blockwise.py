@@ -225,43 +225,31 @@ def test_d_above_m_basis_is_kept_factored(monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 7, 50])
 def test_panel_products_match_one_shot(monkeypatch, width):
-    """With several panels (d > m) the Gram matrix and the products of
-    ``dot`` and ``tdot`` and the shrinkage weight equal those of a
-    materialized a up to rounding, and none of them depends on
-    ``data.BLOCK_CELLS``."""
+    """With several panels (d > m) the Gram matrix, the products of
+    ``tdot`` and the shrinkage weight equal those of a materialized a up to
+    rounding, and none of them depends on ``data.BLOCK_CELLS``."""
     monkeypatch.setattr(shrinkage, "PANEL_COLUMNS", width)
     sample = block_sample(*SHAPES[1], seed=sum(SHAPES[1]))
     weights = cars.scoring_weights(sample).weights
     a, p = weighted_rows_oneshot(sample.covariates, weights)
     rng = np.random.default_rng(3)
-    t, v = rng.standard_normal(len(p)), rng.standard_normal((sample.d, 3))
+    t, u = rng.standard_normal(len(p)), rng.standard_normal((len(p), 3))
 
     def products():
         rows = shrinkage.WeightedRows.of(sample.covariates, weights)
         r = 0.5 * rows.tdot(t)
-        return [rows.gram.matrix, r, rows.dot(r), rows.dot(v), rows.tdot(t), rows.constant,
+        return [rows.gram.matrix, r, rows.tdot(u), rows.tdot(t), rows.constant,
                 shrinkage.shrinkage_lambda(rows)]
 
     monkeypatch.setattr(data, "BLOCK_CELLS", ONE_BLOCK)
     got = products()
     r = 0.5 * (a.T @ t)
-    for x, want in zip(got, [a @ a.T, r, a @ r, a @ v, a.T @ t, ~a.any(axis=0)]):
+    for x, want in zip(got, [a @ a.T, r, a.T @ u, a.T @ t, ~a.any(axis=0)]):
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(got[-1], lambda_oneshot(a, p, a @ a.T), rtol=1e-12)
     for cells in BUDGETS:
         monkeypatch.setattr(data, "BLOCK_CELLS", cells)
         assert bits(*products()) == bits(*got)
-
-
-def test_apply_is_a_column_of_to_matrix(weighted):
-    """On both routes apply(e_j) is column j of to_matrix(), constant column included."""
-    sample, weights = weighted
-    wh, _, _ = shrinkage.whitener_from_data(sample.covariates, None, weights)
-    assert (wh.rows is None) == (sample.d == 23) and wh.constant[1]
-    dense = wh.to_matrix()
-    assert dense.shape == (sample.d, sample.d)
-    for j in range(sample.d):
-        np.testing.assert_allclose(wh.apply(np.eye(sample.d)[j]), dense[:, j], rtol=0, atol=1e-12)
 
 
 def cars_peak(n, d):
@@ -306,3 +294,19 @@ def test_cars_score_streams_the_weighted_rows():
     rebuilt from the covariates (holding a would add 1 m·d·8)."""
     ratio = cars_peak(200, 4000)
     assert ratio <= 0.6, ratio
+
+
+@pytest.mark.parametrize("d, builds", [(150, 2), (6000, 24)])
+def test_cars_score_makes_two_passes_over_the_rows(monkeypatch, d, builds):
+    """n=500: one pass over a forms the Gram matrix and one more the
+    whitened r, so a is built twice when d <= m and its 12 panels twice when
+    d=6000 > m."""
+    sample = block_sample(500, d, seed=d)
+    m = int((cars.scoring_weights(sample).weights > 0).sum())
+    assert (d <= m) == (d == 150)
+    panel = shrinkage.WeightedRows.panel
+    calls = []
+    monkeypatch.setattr(shrinkage.WeightedRows, "panel", lambda rows, cols: calls.append(cols) or panel(rows, cols))
+    sv = cars.cars_score(sample)
+    assert sv.diagnostics["shrinkage"] < 1.0
+    assert len(calls) == builds

@@ -16,6 +16,7 @@ from helpers import (
     weighted_mean,
     weighted_variance,
 )
+from test_blockwise import block_sample, weighted_rows_oneshot
 from test_ipcw import km_censoring_oracle
 
 
@@ -49,7 +50,7 @@ def assert_near_moment_oracle(scores, sample, weights, lambda_override=None):
     whitener, within 1e-12 of the largest |r|."""
     r = oracle_correlations(sample, weights)
     w, _, _ = whitener_from_data(sample.covariates, lambda_override, weights)
-    npt.assert_allclose(scores, w.apply(r), rtol=0, atol=1e-12 * np.abs(r).max())
+    npt.assert_allclose(scores, w.to_matrix() @ r, rtol=0, atol=1e-12 * np.abs(r).max())
 
 
 def test_single_covariate_is_scaled_pearson():
@@ -289,7 +290,29 @@ def test_high_dimensional_path_matches_dense_pipeline():
     cov = np.cov(s.covariates, rowvar=False, aweights=w)
     sd = np.sqrt(np.diag(cov))
     dense = inverse_sqrt(shrink(cov / np.outer(sd, sd), 0.3))
-    npt.assert_allclose(sv.scores, dense.apply(r), atol=1e-9)
+    npt.assert_allclose(sv.scores, dense.to_matrix() @ r, atol=1e-9)
+
+
+@pytest.mark.parametrize("lambda_override", [None, 0.3, 1.0])
+@pytest.mark.parametrize("n, d", [(60, 23), (40, 131)], ids=["d<=m", "d>m"])
+def test_whitened_scores_match_dense_eigh_oracle(n, d, lambda_override):
+    """On both routes the scores are W r for W = (lam I + (1 - lam) R)^-1/2
+    from ``np.linalg.eigh`` of the one-shot weighted correlation R, with the
+    lam the scores report and r the moment estimators' correlation vector;
+    the constant column 1 scores 0."""
+    sample = block_sample(n, d, seed=n + d)
+    weights = scoring_weights(sample).weights
+    sv = cars_score(sample, lambda_override=lambda_override)
+    lam = sv.diagnostics["shrinkage"]
+    a, _ = weighted_rows_oneshot(sample.covariates, weights)
+    assert (d > a.shape[0]) == (d == 131)
+    assert (lam < 1.0) == (lambda_override != 1.0)
+    corr = a.T @ a
+    np.fill_diagonal(corr, 1.0)
+    mu, u = np.linalg.eigh(lam * np.eye(d) + (1.0 - lam) * corr)
+    want = (u * mu**-0.5) @ u.T @ oracle_correlations(sample, weights)
+    assert sv.scores[1] == 0.0
+    npt.assert_allclose(sv.scores, want, rtol=0, atol=1e-9)
 
 
 def test_rank_by_magnitude_example():

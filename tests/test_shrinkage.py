@@ -131,7 +131,7 @@ def test_inverse_sqrt_of_fully_shrunk_matrix_acts_as_identity():
     r = sample_correlations(rng.standard_normal((20, 5)))
     w = inverse_sqrt(shrink(r, 1.0))
     probe = rng.standard_normal(5)
-    npt.assert_allclose(w.apply(probe), probe, atol=1e-13)
+    npt.assert_allclose(w.to_matrix() @ probe, probe, atol=1e-13)
 
 
 def test_preconditions_raise():
@@ -165,10 +165,10 @@ def test_inverse_sqrt_self_consistency_on_probes():
     scale = np.sqrt(np.diag(spd))
     corr = spd / np.outer(scale, scale)
     shrunk = shrink(corr, 0.1)
-    w = inverse_sqrt(shrunk)
+    w = inverse_sqrt(shrunk).to_matrix()
     for _ in range(10):
         probe = rng.standard_normal(8)
-        back = shrunk.matrix @ w.apply(w.apply(probe))
+        back = shrunk.matrix @ (w @ (w @ probe))
         npt.assert_allclose(back, probe, rtol=1e-8, atol=1e-8)
 
 
@@ -209,7 +209,7 @@ def test_structured_path_matches_dense():
         dense = inverse_sqrt(shrink(sample_correlations(x), lam))
         npt.assert_allclose(structured.to_matrix(), dense.to_matrix(), atol=1e-9)
         probe = rng.standard_normal(d)
-        npt.assert_allclose(structured.apply(probe), dense.apply(probe), atol=1e-9)
+        npt.assert_allclose(structured.to_matrix() @ probe, dense.to_matrix() @ probe, atol=1e-9)
 
 
 def test_structured_path_requires_positive_shrinkage():
@@ -230,7 +230,7 @@ def test_identity_shrinkage_is_exact_identity():
 @pytest.mark.parametrize("d", [1, 8])
 def test_identity_whitener_forms_no_rows_and_is_exact(monkeypatch, d):
     # lam = 1 on the d <= m route, and a single covariate at any lam: an
-    # empty basis with b = 1, so apply returns its argument bit for bit
+    # empty basis with b = 1, so the product returns its argument bit for bit
     from survscreen import shrinkage
 
     x = np.random.default_rng(30).standard_normal((20, d))
@@ -240,7 +240,7 @@ def test_identity_whitener_forms_no_rows_and_is_exact(monkeypatch, d):
         w, got_lam, min_eig = whitener_from_data(x, lam)
         assert w.basis.shape == (d, 0) and w.background == 1.0
         assert got_lam == lam_used and min_eig == 1.0
-        npt.assert_array_equal(w.apply(probe), probe)
+        npt.assert_array_equal(w.to_matrix() @ probe, probe)
         npt.assert_array_equal(w.to_matrix(), np.eye(d))
 
 
@@ -371,7 +371,7 @@ def test_thin_whitener_matches_dense_inverse_sqrt(case):
     npt.assert_array_equal(white.to_matrix()[constant, constant], 1.0)
     npt.assert_allclose(white.to_matrix(), dense, atol=1e-9)
     probe = np.random.default_rng(67).standard_normal(x.shape[1])
-    npt.assert_allclose(white.apply(probe), dense @ probe, atol=1e-9)
+    npt.assert_allclose(white.to_matrix() @ probe, dense @ probe, atol=1e-9)
 
 
 @pytest.mark.parametrize("n, d", [(40, 6), (25, 25), (14, 40)])
@@ -387,7 +387,7 @@ def test_whitener_lambda_from_shared_gram_is_shrinkage_lambda(n, d, weighted):
 @pytest.mark.parametrize("d", [6, 40])
 def test_cars_score_standardizes_the_rows_once(monkeypatch, d):
     # one moment pass, then one pass over the weighted rows a for the Gram
-    # matrix and lam, one for r, and two for the factored whitener when d > m
+    # matrix and lam and one for the whitened r, on either route
     from survscreen import SurvivalSample, cars_score
     from survscreen import data, shrinkage
 
@@ -404,7 +404,7 @@ def test_cars_score_standardizes_the_rows_once(monkeypatch, d):
     scores = cars_score(sample)
     assert 0 < scores.diagnostics["shrinkage"] < 1
     assert len(calls) == 1
-    assert len(passes) == (2 if d < n else 4)  # d > m when d > n
+    assert len(passes) == 2  # d > m when d > n
 
 
 @pytest.mark.parametrize("weighted", [False, True])
