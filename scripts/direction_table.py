@@ -42,9 +42,7 @@ from survscreen.data import covariate_summary
 from survscreen.ipcw import censoring_km, ipc_weights
 from survscreen.metrics import rank_correlation
 from survscreen.shrinkage import whitener_from_data
-from survscreen.simulate import (
-    ScenarioConfig, build_block_design, generate_dataset, nearest_correlation, replicate_rng,
-)
+from survscreen.simulate import Scenario, ScenarioConfig, replicate_rng
 
 DESIGN = dict(
     n=250, d=150, influential_fraction=0.1, influential_block=3, explained_variance=0.75,
@@ -95,45 +93,44 @@ LAYERS = {
 }
 
 
-def evaluate(config, seed, replicates, scorers, corr):
+def evaluate(scenario, seed, replicates, scorers):
     """{name: (replicates x 2) array of (PR-AUC, rank correlation)}."""
     out = {name: [] for name in scorers}
+    truth = scenario.truth
+    labels = np.zeros(scenario.config.d, dtype=int)
+    labels[truth.influential_set] = 1
     for rep in range(replicates):
-        sample, truth = generate_dataset(config, projected_corr=corr, rng=replicate_rng(seed, 0, rep))
-        labels = np.zeros(config.d, dtype=int)
-        labels[truth.influential_set] = 1
+        sample = scenario.draw(replicate_rng(seed, 0, rep))
         for name, scorer in scorers.items():
             scores = scorer(sample)
             out[name].append((pr_auc(np.abs(scores), labels).auc, rank_correlation(truth.beta, scores)))
     return {name: np.array(v) for name, v in out.items()}
 
 
-def median_ess(config, seed, replicates, corr):
+def median_ess(scenario, seed, replicates):
     ess = []
     for rep in range(replicates):
-        sample, _ = generate_dataset(config, projected_corr=corr, rng=replicate_rng(seed, 0, rep))
-        w = scoring_weights(sample).weights
+        w = scoring_weights(scenario.draw(replicate_rng(seed, 0, rep))).weights
         ess.append(w.sum() ** 2 / (w @ w))
     return float(np.median(ess))
 
 
 def table(seed: int, replicates: int) -> list[str]:
-    corr = nearest_correlation(build_block_design(DESIGN["d"], DESIGN["block_magnitudes"])).matrix
-    censored = ScenarioConfig(**DESIGN, seed=seed)
-    n_eff = round(median_ess(censored, seed, replicates, corr))
+    censored = Scenario.build(ScenarioConfig(**DESIGN, seed=seed))
+    n_eff = round(median_ess(censored, seed, replicates))
     cars = {"CARS": lambda s: cars_score(s).scores, "Cox": lambda s: cox_scores(s).scores}
     blocks = [
-        ("uncensored", ScenarioConfig(**{**DESIGN, **UNCENSORED}, seed=seed), cars),
+        ("uncensored", Scenario.build(ScenarioConfig(**{**DESIGN, **UNCENSORED}, seed=seed)), cars),
         (f"uncensored, n = n_eff = {n_eff}",
-         ScenarioConfig(**{**DESIGN, **UNCENSORED, "n": n_eff}, seed=seed), cars),
+         Scenario.build(ScenarioConfig(**{**DESIGN, **UNCENSORED, "n": n_eff}, seed=seed)), cars),
         ("25% censoring + cutoff", censored, {**LAYERS, "Cox": cars["Cox"]}),
     ]
     lines = [
         "| data | layer | PR-AUC | rank corr | PR-AUC - Cox | rank corr - Cox |",
         "|---|---|---|---|---|---|",
     ]
-    for label, config, scorers in blocks:
-        res = evaluate(config, seed, replicates, scorers, corr)
+    for label, scenario, scorers in blocks:
+        res = evaluate(scenario, seed, replicates, scorers)
         for name, v in res.items():
             delta = ["", ""] if name == "Cox" else paired(v, res["Cox"])
             med = np.median(v, axis=0)
@@ -154,7 +151,6 @@ def paired(a, b):
 
 def tail_rule_table(seed: int, replicates: int) -> list[str]:
     """Whitened scores with and without Efron's tail rule, over censoring designs."""
-    corr = nearest_correlation(build_block_design(DESIGN["d"], DESIGN["block_magnitudes"])).matrix
     scorers = {
         "events": lambda s: ipc_scores(s, None, "events")[0],
         "tail": lambda s: cars_score(s).scores,
@@ -167,7 +163,7 @@ def tail_rule_table(seed: int, replicates: int) -> list[str]:
     ]
     for rate, cutoff in TAIL_DESIGNS:
         config = ScenarioConfig(**{**DESIGN, "censoring_rate": rate, "cutoff_quantile": cutoff}, seed=seed)
-        res = evaluate(config, seed, replicates, scorers, corr)
+        res = evaluate(Scenario.build(config), seed, replicates, scorers)
         cells = paired(res["tail"], res["events"]) + paired(res["events"], res["Cox"])
         cells += paired(res["tail"], res["Cox"])
         lines.append(f"| {rate} | {'none' if cutoff == 1.0 else cutoff} | " + " | ".join(cells) + " |")

@@ -23,7 +23,7 @@ import numpy as np
 from .cars import cars_score
 from .cox import cox_scores
 from .data import fmt_float, parse_cell, read_table, write_table
-from .errors import SurvScreenError, UnknownField
+from .errors import BadValue, SurvScreenError, UnknownField
 from .ipcw import check_nu
 from .metrics import pr_auc, rank_correlation
 from .simulate import (  # parse_grid is re-exported: grid files are read through this module
@@ -242,9 +242,11 @@ def read_report(path) -> BenchReport:
 
 def emit_plotdata(report: BenchReport, group_by: list[str]) -> list[dict]:
     """Long-format quartile summaries per (group fields, method, metric)."""
-    for field in group_by:
+    for i, field in enumerate(group_by):
         if field not in SCENARIO_FIELDS:
             raise UnknownField(f"unknown group-by field {field!r}")
+        if field in group_by[:i]:
+            raise BadValue(f"group-by field {field!r} given twice")
 
     def key(r: BenchRow) -> tuple:
         params = report.scenarios[r.scenario]

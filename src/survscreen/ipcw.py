@@ -66,17 +66,18 @@ class IpcWeightSet:
 def censoring_km(sample: SurvivalSample) -> CensoringSurvivorCurve:
     """Kaplan-Meier estimate of the censoring survivor function.
 
-    Jumps occur at distinct censoring times; the risk set at a time y is
-    every observation with log time >= y.  A sample without censored
-    observations yields the constant curve 1.
+    Jumps occur at distinct censoring times; the risk set at a time y holds
+    the censorings at or after y and the events after y (events first at a
+    tie).  A sample without censored observations yields the constant curve 1.
     """
     t = sample.log_times
     censored = sample.events == 0
     if not censored.any():
         return CensoringSurvivorCurve(np.empty(0), np.empty(0))
     jump_times, n_cens = np.unique(t[censored], return_counts=True)
-    all_sorted = np.sort(t)
-    at_risk = sample.n - np.searchsorted(all_sorted, jump_times, side="left")
+    censored_from = np.cumsum(n_cens[::-1])[::-1]
+    events = np.sort(t[~censored])
+    at_risk = censored_from + events.size - np.searchsorted(events, jump_times, side="right")
     factors = 1.0 - n_cens / at_risk
     return CensoringSurvivorCurve(jump_times, np.cumprod(factors))
 

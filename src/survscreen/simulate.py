@@ -10,10 +10,10 @@ analytically so the requested explained variance and censoring rate hold
 exactly at the population level.
 
 Everything but the draws depends on the scenario alone, so a ``Scenario``
-is built once (projection, eigen-factor, coefficients, calibration and
-population scores) and ``Scenario.draw`` makes a replicate from one block
-of standard normals, one matmul and the noise and censoring draws.
-``generate_dataset`` is a one-replicate ``Scenario``.
+is built once (projection, coefficients, calibration, and one eigh for the
+covariate factor and the population scores) and ``Scenario.draw`` makes a
+replicate from one block of standard normals, one matmul and the noise and
+censoring draws.  ``generate_dataset`` is a one-replicate ``Scenario``.
 """
 
 from __future__ import annotations
@@ -172,14 +172,8 @@ def nearest_correlation(
     return NearestCorrelationResult(m, iterations, converged)
 
 
-def covariate_factor(corr: np.ndarray) -> np.ndarray:
-    """Symmetric eigen-factor F of corr, with F F' = corr up to round-off."""
-    w, v = np.linalg.eigh(corr)
-    return v * np.sqrt(np.maximum(w, 0.0))
-
-
 def sample_covariates(factor: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. rows from N(0, F F') for the factor F of ``covariate_factor``."""
+    """n i.i.d. rows from N(0, F F') for a factor F of the correlation."""
     z = rng.standard_normal((n, factor.shape[0]))
     return z @ factor.T
 
@@ -209,9 +203,8 @@ def make_beta(d: int, influential_fraction: float, influential_block: int) -> tu
     return beta, idx
 
 
-def calibrate_noise(beta: np.ndarray, corr: np.ndarray, explained_variance: float) -> float:
+def calibrate_noise(signal: float, explained_variance: float) -> float:
     """Noise scale sigma so that signal / (signal + sigma^2) = explained_variance."""
-    signal = float(beta @ corr @ beta)
     if not np.isfinite(signal) or signal <= 0:
         raise ZeroSignal(f"signal variance {signal} is not positive")
     return math.sqrt(signal * (1.0 - explained_variance) / explained_variance)
@@ -228,12 +221,9 @@ def calibrate_censoring(signal_variance: float, sigma_log: float, target_rate: f
     return -statistics.NormalDist().inv_cdf(target_rate) * math.sqrt(2.0 * s2)
 
 
-def population_scores(beta: np.ndarray, corr: np.ndarray, sigma_log: float) -> np.ndarray:
-    """Population score vector corr^{1/2} beta / sd(log T) (unit variances)."""
-    s = math.sqrt(float(beta @ corr @ beta) + sigma_log**2)
-    w, v = np.linalg.eigh(corr)
-    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    return root @ beta / s
+def population_scores(beta: np.ndarray, root: np.ndarray, sd_log_t: float) -> np.ndarray:
+    """Population score vector root @ beta / sd(log T) for root = corr^{1/2}."""
+    return root @ beta / sd_log_t
 
 
 @dataclass(frozen=True)
@@ -241,12 +231,11 @@ class Scenario:
     """The replicate-independent parts of a scenario, built once.
 
     ``build`` projects the block design (unless ``projected_corr`` is given),
-    factors it, places the coefficients and calibrates the noise and
-    censoring; ``draw`` then does only a replicate's own work.
+    places the coefficients, calibrates the noise and censoring and takes one
+    eigh; ``draw`` then does only a replicate's own work.
     """
 
     config: ScenarioConfig
-    corr: np.ndarray
     factor: np.ndarray
     truth: GroundTruth
     mu_c: float
@@ -261,21 +250,23 @@ class Scenario:
         beta, influential = make_beta(
             config.d, config.influential_fraction, config.influential_block
         )
-        sigma = calibrate_noise(beta, projected_corr, config.explained_variance)
         signal = float(beta @ projected_corr @ beta)
+        sigma = calibrate_noise(signal, config.explained_variance)
+        sd_log_t = math.sqrt(signal + sigma**2)
+        w, v = np.linalg.eigh(projected_corr)
+        factor = v * np.sqrt(np.maximum(w, 0.0))
         truth = GroundTruth(
             beta=beta,
             influential_set=influential,
-            population_theta=population_scores(beta, projected_corr, sigma),
+            population_theta=population_scores(beta, factor @ v.T, sd_log_t),
             sigma_log=sigma,
         )
         return cls(
             config=config,
-            corr=projected_corr,
-            factor=covariate_factor(projected_corr),
+            factor=factor,
             truth=truth,
             mu_c=calibrate_censoring(signal, sigma, config.censoring_rate),
-            sigma_c=math.sqrt(signal + sigma**2),
+            sigma_c=sd_log_t,
         )
 
     def draw(self, rng: np.random.Generator) -> SurvivalSample:
@@ -365,13 +356,14 @@ def parse_value(key: str, text: str):
 def parse_grid(lines) -> tuple[list[dict], int]:
     """Parse a grid config into (scenario parameter dicts, master seed).
 
-    Lines are `key=value`; '#' starts a comment and blank lines are
-    skipped.  Every value but the seed's may be a comma-separated list, and
-    the scenarios are the cartesian product of the listed values.  Keys left
-    out take their ScenarioConfig defaults; the others are required.
+    Lines are `key=value`, one per key; '#' starts a comment and blank lines
+    are skipped.  Every value but the seed's may be a comma-separated list,
+    and the scenarios are the cartesian product of the listed values.  Keys
+    left out take their ScenarioConfig defaults; the others are required.
     """
     swept = {f.name: [f.default] for f in fields(ScenarioConfig) if f.default is not MISSING}
     seed = swept.pop("seed")[0]
+    given = set()
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -379,6 +371,9 @@ def parse_grid(lines) -> tuple[list[dict], int]:
         if "=" not in line:
             raise BadValue(f"expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in given:
+            raise BadValue(f"config key {key!r} given twice")
+        given.add(key)
         if key == "seed":
             seed = parse_value(key, value)
         else:

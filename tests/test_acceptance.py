@@ -284,8 +284,8 @@ def test_criterion_7_oracle_equivalences():
 def test_criterion_8_calibration_exactness():
     corr = np.eye(4)
     beta = np.array([0.8, -0.4, 0.2, 0.0])
-    sigma = calibrate_noise(beta, corr, 0.5)
     signal = float(beta @ corr @ beta)
+    sigma = calibrate_noise(signal, 0.5)
     analytic_ok = abs(signal / (signal + sigma**2) - 0.5) <= 1e-14
 
     rng = np.random.default_rng(80_000)

@@ -61,6 +61,13 @@ def test_parse_grid_unknown_key():
         parse_grid(["bogus = 1"])
 
 
+@pytest.mark.parametrize("line", ["n = 200", "seed = 4"])
+def test_parse_grid_repeated_key(line):
+    key = line.split()[0]
+    with pytest.raises(BadValue, match=f"'{key}' given twice"):
+        parse_grid((GRID + line + "\n").splitlines())
+
+
 def test_run_bench_row_count_and_order():
     scenarios, seed = parse_grid(GRID.splitlines())
     report = run_bench(scenarios, seed, replicates=3)

@@ -197,6 +197,40 @@ def test_scoring_weights_trace_kaplan_meier_at_administrative_cutoff():
     npt.assert_allclose(w[t < tau], event_only[t < tau], rtol=1e-12)
 
 
+def km_jump_weights_oracle(log_times, events):
+    """n times the Kaplan-Meier jumps of T over enumerated risk sets: an event
+    at t gets n S(t-) / Y(t), and the rows at the largest time tau share
+    the mass n S(tau-) left there."""
+    n, tau = len(log_times), log_times.max()
+    w = np.zeros(n)
+    surv = 1.0
+    for t in sorted(set(log_times.tolist())):
+        here = log_times == t
+        if t == tau:
+            w[here] = n * surv / here.sum()
+            break
+        at_risk = np.sum(log_times >= t)
+        deaths = here & (events == 1)
+        w[deaths] = n * surv / at_risk
+        surv *= 1.0 - deaths.sum() / at_risk
+    return w
+
+
+def test_scoring_weights_are_kaplan_meier_jumps_with_tied_censorings():
+    # an event tied with a censoring precedes it, so it leaves the censoring
+    # risk set at that time and the weights stay n times the KM jumps of T
+    s = SurvivalSample.from_times([1.0, 1.0, 2.0], [1, 0, 1], np.zeros((3, 1)))
+    npt.assert_allclose(scoring_weights(s).weights, [1.0, 0.0, 2.0], rtol=1e-15)
+    rng = np.random.default_rng(47)
+    times = np.ceil(rng.lognormal(size=300) * 10) / 10
+    events = rng.integers(0, 2, size=300)
+    s = SurvivalSample.from_times(times, events, rng.standard_normal((300, 2)))
+    tied = set(s.log_times[events == 1].tolist()) & set(s.log_times[events == 0].tolist())
+    assert len(tied) >= 20
+    npt.assert_allclose(scoring_weights(s).weights, km_jump_weights_oracle(s.log_times, s.events),
+                        rtol=1e-12)
+
+
 def efron_ipc_weights_oracle(log_times, events):
     """1 / G(t-) for events and for the rows at the largest time, else 0."""
     counted = (events == 1) | (log_times == log_times.max())

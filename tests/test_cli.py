@@ -258,8 +258,9 @@ SCENARIO_KEYS = SCENARIO.replace("seed = 9\n", "")
         SCENARIO_KEYS + "bogus = 1\n",  # unknown key
         SCENARIO_KEYS + "block_magnitudes = 0.2:0.4\n",  # two magnitudes
         SCENARIO_KEYS + "block_magnitudes = nan:0.5:0.75\n",  # a non-finite magnitude
+        SCENARIO_KEYS + "n = 200\n",  # a key given twice
     ],
-    ids=["missing", "listed", "unknown", "magnitudes", "nan-magnitude"],
+    ids=["missing", "listed", "unknown", "magnitudes", "nan-magnitude", "repeated"],
 )
 def test_simulate_bad_config_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "scenario.cfg"
@@ -501,6 +502,17 @@ def test_plotdata_malformed_report_exit_2(tmp_path, capsys, text, kind):
                  "--output", str(tmp_path / "plot.csv")])
     assert code == 2
     assert kind in capsys.readouterr().err
+
+
+def test_plotdata_repeated_group_field_exit_2(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(REPORT_HEADER + FULL_KEY + ",0,cars,0.5,0.5,\n")
+    plot = tmp_path / "plot.csv"
+    code = main(["plotdata", "--report", str(report), "--group-by", "n,n", "--output", str(plot)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("survscreen: BadValue: ") and "'n'" in err
+    assert not plot.exists()
 
 
 def write_sample(path, times, events, x):

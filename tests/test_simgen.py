@@ -13,7 +13,6 @@ from survscreen.simulate import (
     build_block_design,
     calibrate_censoring,
     calibrate_noise,
-    covariate_factor,
     make_beta,
     nearest_correlation,
     population_scores,
@@ -151,11 +150,11 @@ def test_make_beta_single_coefficient():
 def test_calibrate_noise_exact():
     corr = np.eye(2)
     beta = np.array([1.0, 0.0])
-    sigma = calibrate_noise(beta, corr, 0.5)
+    sigma = calibrate_noise(float(beta @ corr @ beta), 0.5)
     assert sigma**2 == pytest.approx(1.0, rel=1e-15)
     signal = 3.0
     beta3 = np.array([np.sqrt(signal)])
-    sigma3 = calibrate_noise(beta3, np.eye(1), 0.75)
+    sigma3 = calibrate_noise(float(beta3 @ np.eye(1) @ beta3), 0.75)
     assert sigma3**2 == pytest.approx(1.0, rel=1e-12)
     ev = signal / (signal + sigma3**2)
     assert ev == pytest.approx(0.75, rel=1e-15)
@@ -163,7 +162,7 @@ def test_calibrate_noise_exact():
 
 def test_calibrate_noise_zero_signal():
     with pytest.raises(ZeroSignal):
-        calibrate_noise(np.zeros(3), np.eye(3), 0.5)
+        calibrate_noise(0.0, 0.5)
 
 
 def test_calibrate_noise_empirical_r2():
@@ -171,7 +170,7 @@ def test_calibrate_noise_empirical_r2():
     n = 50_000
     corr = np.eye(4)
     beta = np.array([0.8, -0.4, 0.2, 0.0])
-    sigma = calibrate_noise(beta, corr, 0.5)
+    sigma = calibrate_noise(float(beta @ corr @ beta), 0.5)
     x = rng.standard_normal((n, 4))
     y = x @ beta + sigma * rng.standard_normal(n)
     pred = x @ beta
@@ -217,7 +216,7 @@ def test_sample_covariates_moments():
     rng = replicate_rng(42, 0)
     corr = np.eye(3)
     corr[0, 1] = corr[1, 0] = 0.75
-    x = sample_covariates(covariate_factor(corr), 50_000, rng)
+    x = sample_covariates(np.linalg.cholesky(corr), 50_000, rng)
     assert np.all(np.abs(x.mean(axis=0)) <= 0.02)
     emp = np.corrcoef(x.T)
     assert abs(emp[0, 1] - 0.75) <= 0.02
@@ -226,8 +225,8 @@ def test_sample_covariates_moments():
 
 def test_sample_covariates_deterministic():
     corr = np.eye(4)
-    a = sample_covariates(covariate_factor(corr), 100, replicate_rng(7, 3))
-    b = sample_covariates(covariate_factor(corr), 100, replicate_rng(7, 3))
+    a = sample_covariates(np.linalg.cholesky(corr), 100, replicate_rng(7, 3))
+    b = sample_covariates(np.linalg.cholesky(corr), 100, replicate_rng(7, 3))
     npt.assert_array_equal(a, b)
 
 
@@ -277,7 +276,7 @@ def test_cutoff_only_adds_censoring():
 def test_population_scores_uncorrelated_closed_form():
     beta = np.array([1.0, 0.5, 0.0])
     sigma = 1.2
-    theta = population_scores(beta, np.eye(3), sigma)
+    theta = population_scores(beta, np.eye(3), math.sqrt(beta @ beta + sigma**2))
     npt.assert_allclose(theta, beta / np.sqrt(beta @ beta + sigma**2), rtol=1e-12)
 
 
@@ -340,8 +339,8 @@ def per_replicate_oracle(config, corr, rng):
     factor = v * np.sqrt(np.maximum(w, 0.0))
     x = rng.standard_normal((config.n, corr.shape[0])) @ factor.T
     beta, influential = make_beta(config.d, config.influential_fraction, config.influential_block)
-    sigma = calibrate_noise(beta, corr, config.explained_variance)
     signal = float(beta @ corr @ beta)
+    sigma = calibrate_noise(signal, config.explained_variance)
     mu_c = calibrate_censoring(signal, sigma, config.censoring_rate)
     sigma_c = math.sqrt(signal + sigma**2)
     log_t = x @ beta + sigma * rng.standard_normal(config.n)
@@ -383,13 +382,29 @@ def test_scenario_draws_match_per_replicate_oracle_bitwise(seed, cutoff_quantile
     npt.assert_array_equal(truth.population_theta, theta)
 
 
+def test_scenario_build_takes_one_eigendecomposition(monkeypatch):
+    # the factor of the draws and the root of the population scores share it
+    config = scenario()
+    corr = nearest_correlation(build_block_design(config.d, config.block_magnitudes)).matrix
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    Scenario.build(config, corr)
+    assert calls == [corr.shape]
+
+
 def test_raw_time_overflow_is_a_numerical_error():
     # sd(log T) = 300: exp(min(log T, log C)) underflows to 0 or overflows
     config = scenario(n=200, d=6)
     beta = np.zeros(6)
     beta[5] = 1.0
     truth = GroundTruth(beta, np.array([5]), beta.copy(), 300.0)
-    huge = Scenario(config, np.eye(6), np.eye(6), truth, mu_c=0.0, sigma_c=300.0)
+    huge = Scenario(config, np.eye(6), truth, mu_c=0.0, sigma_c=300.0)
     with pytest.raises(TimeOverflow, match=r"sd\(log T\) = 300") as err:
         huge.draw(replicate_rng(1, 0))
     assert isinstance(err.value, NumericalError)
